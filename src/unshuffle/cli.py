@@ -155,7 +155,7 @@ def _cmd_analyze(args) -> int:
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
     profile = partition_profile(corpus)
-    two_valued = [row for row, _ in two_valued_rows(corpus)]
+    two_valued = two_valued_rows(corpus)
     if args.out is not None:
         profile_to_csv(profile, args.out)
     report = Report(
@@ -163,7 +163,7 @@ def _cmd_analyze(args) -> int:
         params={"corpus": str(args.corpus), "record_len": args.record_len},
         result={"rows": corpus.n_rows, "cols": corpus.n_cols,
                 "max_partition_size": profile.max_size,
-                "two_valued_rows": [r + 1 for r in two_valued]},
+                "two_valued_rows": (two_valued + 1).tolist()},
         diagnostics={"partition_sizes": list(profile.sizes)},
         seed=args.seed,
     )

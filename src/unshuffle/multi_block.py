@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ShuffledCorpus, apply_unshuffle
+from .partitions import distinct_counts
 from .perms import BlockStructure, Perm, compose, identity
 
 
@@ -46,6 +47,8 @@ class AlignConfig:
             raise ValueError(f"weight base must exceed 1, got {self.weight_base}")
         if self.reference_column < 0:
             raise ValueError("reference column must be nonnegative")
+        if self.structured_part_max is not None and self.structured_part_max < 1:
+            raise ValueError("structured part max must be at least 1")
 
     def part_threshold(self, n_cols: int) -> int:
         if self.structured_part_max is not None:
@@ -103,6 +106,8 @@ def weighted_shift_align(corpus: ShuffledCorpus, ref_col: int,
     count against the reference column; the reference's own shift is 0."""
     if corpus.n_rows < 1 or corpus.n_cols < 1:
         raise ValueError("empty corpus")
+    if ref_col >= corpus.n_cols:
+        raise ValueError(f"reference column {ref_col} outside [0, {corpus.n_cols})")
     ref = corpus.values[:, ref_col]
     shifts = []
     for k in range(corpus.n_cols):
@@ -122,12 +127,9 @@ def detect_block_boundary(corpus: ShuffledCorpus, config: AlignConfig) -> int:
     structured row exists."""
     if corpus.n_rows < 1:
         raise ValueError("empty corpus")
-    threshold = config.part_threshold(corpus.n_cols)
-    for row in range(corpus.n_rows):
-        size = len(np.unique(corpus.values[row]))
-        if 2 <= size <= threshold:
-            return row
-    return corpus.n_rows
+    sizes = distinct_counts(corpus.values)
+    structured = (sizes >= 2) & (sizes <= config.part_threshold(corpus.n_cols))
+    return int(np.argmax(structured)) if structured.any() else corpus.n_rows
 
 
 def _modal_rows(values: np.ndarray):

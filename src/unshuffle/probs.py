@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelParams, generate, make_rng
-from .partitions import row_partition
+from .partitions import distinct_counts, row_partition
 from .two_block import estimate_conserved_rows
 
 
@@ -168,9 +168,7 @@ def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):
     const1 = (vals1 == vals1[:, :1]).all(axis=1)
     sides_differ = vals0[:, 0] != vals1[:, 0]
     correct = const0 & const1 & sides_differ
-    row = np.sort(np.concatenate([vals0, vals1], axis=1), axis=1)
-    n_distinct = 1 + np.count_nonzero(row[:, 1:] != row[:, :-1], axis=1)
-    return correct, n_distinct == 2
+    return correct, distinct_counts(np.concatenate([vals0, vals1], axis=1)) == 2
 
 
 def _mc_two_value(event, params, trials, rng):

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import ShuffledCorpus, apply_unshuffle
+from .model import ShuffledCorpus
 from .partitions import two_valued_rows
-from .perms import Perm, cyclic_shift_perm, identity, invert
+from .perms import Perm, cyclic_shift_perm
 
 
 class NotIdentifiableError(RuntimeError):
@@ -55,16 +55,14 @@ def estimate_swapped_columns(corpus: ShuffledCorpus) -> tuple:
     seen at the earliest row."""
     if corpus.n_cols < 2:
         raise NotIdentifiableError("need at least two columns")
-    counts = {}
-    order = {}
-    for row, part in two_valued_rows(corpus):
-        side = part.parts[0] if 0 not in part.parts[0] else part.parts[1]
-        counts[side] = counts.get(side, 0) + 1
-        order.setdefault(side, row)
-    if not counts:
+    values = corpus.values[two_valued_rows(corpus)]
+    if len(values) == 0:
         raise NotIdentifiableError("no two-valued rows; nothing to unshuffle")
-    best = max(counts, key=lambda s: (counts[s], -order[s]))
-    return tuple(best)
+    sides = values != values[:, :1]
+    _, first, counts = np.unique(np.packbits(sides, axis=1), axis=0,
+                                 return_index=True, return_counts=True)
+    winner = first[counts == counts.max()].min()
+    return tuple(np.flatnonzero(sides[winner]).tolist())
 
 
 def estimate_conserved_rows(corpus: ShuffledCorpus, swapped_cols):
@@ -124,19 +122,15 @@ def unshuffle2(corpus: ShuffledCorpus) -> TwoUnshuffleResult:
     conserved = estimate_conserved_rows(corpus, swapped_cols)
     a0, a1 = partial_templates(corpus, swapped_cols, conserved)
     shift, score = align_cyclic(a0, a1)
-    total = corpus.n_rows
-    pi_hat = cyclic_shift_perm(total, shift)
-    inv = invert(pi_hat)
-    ident = identity(total)
-    swapped = set(swapped_cols)
-    perms = [inv if n in swapped else ident for n in range(corpus.n_cols)]
-    aligned = apply_unshuffle(corpus, perms)
+    aligned = corpus.values.copy()
+    for col in swapped_cols:
+        aligned[:, col] = np.roll(aligned[:, col], shift)
     return TwoUnshuffleResult(
         swapped_cols=tuple(sorted(swapped_cols)),
         first_block_len=shift,
-        pi_hat=pi_hat,
+        pi_hat=cyclic_shift_perm(corpus.n_rows, shift),
         conserved_unswapped=conserved[0],
         conserved_swapped=conserved[1],
-        aligned=aligned,
+        aligned=ShuffledCorpus(values=aligned, q=corpus.q),
         score=score,
     )

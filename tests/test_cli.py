@@ -101,6 +101,12 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes([1, 2, 3]))
     assert run("unshuffle", bad, "--record-len", 2) == 2
+    corpus = tmp_path / "m.bin"
+    assert run("--seed", 1, "gen", "--q", 16, "--lengths", "2,3", "--n", 4,
+               "--perm-counts", "1,2=2;2,1=2", "--out", corpus) == 0
+    assert run("unshuffle", corpus, "--record-len", 5, "--ref-col", 4) == 2
+    assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
+    assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -1,0 +1,149 @@
+"""Golden outputs of the CLI for fixed seeds.
+
+The hashes pin the generator's RNG stream (the ``gen`` corpus and truth
+sidecar) and the solvers' outputs byte for byte, so a refactor that claims
+the same outputs has to reproduce exactly these.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from unshuffle.cli import cli_main
+
+
+def run(*argv):
+    return cli_main([str(a) for a in argv])
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def report_digest(path) -> str:
+    """Hash of a report's result and diagnostics (its params hold paths)."""
+    report = json.loads(path.read_text())
+    body = {"success": report["success"], "result": report["result"],
+            "diagnostics": report["diagnostics"]}
+    return digest(json.dumps(body, sort_keys=True).encode())
+
+
+def two_block_outputs(tmp_path, seed, q, lengths, n, lam, nu):
+    corpus = tmp_path / "corpus.bin"
+    truth = tmp_path / "corpus.bin.truth.json"
+    record_len = sum(int(x) for x in lengths.split(","))
+    assert run("--seed", seed, "gen", "--q", q, "--lengths", lengths,
+               "--n", n, "--lambda", lam, "--nu", nu, "--out", corpus) == 0
+    profile = tmp_path / "profile.csv"
+    analyze_report = tmp_path / "analyze.json"
+    assert run("analyze", corpus, "--record-len", record_len,
+               "--out", profile, "--json-report", analyze_report) == 0
+    aligned = tmp_path / "aligned.bin"
+    solve_report = tmp_path / "unshuffle2.json"
+    code = run("unshuffle2", corpus, "--record-len", record_len,
+               "--truth", truth, "--out", aligned,
+               "--json-report", solve_report)
+    return {"corpus": digest(corpus.read_bytes()),
+            "truth": digest(truth.read_bytes()),
+            "profile_csv": digest(profile.read_bytes()),
+            "analyze": report_digest(analyze_report),
+            "aligned": digest(aligned.read_bytes()),
+            "unshuffle2": report_digest(solve_report),
+            "unshuffle2_exit": code}
+
+
+def m_block_outputs(tmp_path, seed, perm_counts, part_max):
+    corpus = tmp_path / "m.bin"
+    truth = tmp_path / "m.bin.truth.json"
+    assert run("--seed", seed, "gen", "--q", 256, "--lengths", "5,7,8",
+               "--n", 40, "--lambda", 0.3, "--perm-counts", perm_counts,
+               "--restricted-prefix", "--out", corpus) == 0
+    aligned = tmp_path / "aligned.bin"
+    solve_report = tmp_path / "unshuffle.json"
+    extra = ("--part-max", part_max) if part_max is not None else ()
+    code = run("unshuffle", corpus, "--record-len", 20, "--truth", truth,
+               "--out", aligned, "--json-report", solve_report, *extra)
+    return {"corpus": digest(corpus.read_bytes()),
+            "truth": digest(truth.read_bytes()),
+            "aligned": digest(aligned.read_bytes()),
+            "unshuffle": report_digest(solve_report),
+            "unshuffle_exit": code}
+
+
+def verify_prob_outputs(tmp_path, seed, event):
+    report = tmp_path / "prob.json"
+    code = run("--seed", seed, "verify-prob", event, "--q", 3,
+               "--lengths", "4,6", "--n", 20, "--lambda", 0.5, "--nu", 0.3,
+               "--trials", 2000, "--json-report", report)
+    return {"verify_prob": report_digest(report), "verify_prob_exit": code}
+
+
+CASES = {
+    "two_block_seed1": (two_block_outputs, (1, 3, "40,60", 80, 0.5, 0.3)),
+    "two_block_seed2": (two_block_outputs, (2, 4, "30,50", 120, 0.5, 0.4)),
+    # Few columns: many competing bipartitions and a likely failed recovery.
+    "two_block_seed3": (two_block_outputs, (3, 3, "5,7", 10, 0.6, 0.5)),
+    "m_block_seed4": (m_block_outputs, (4, "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8", None)),
+    "m_block_seed5": (m_block_outputs, (5, "1,2,3=20;3,1,2=12;2,1,3=8", 3)),
+    "verify_p_n": (verify_prob_outputs, (6, "p_n")),
+    "verify_p_2": (verify_prob_outputs, (6, "p_2")),
+}
+
+GOLDEN = {
+    "m_block_seed4": {
+        "corpus": "d2a86a3d1e95977a",
+        "truth": "52a8908138ef82fe",
+        "aligned": "cdbe76d3cc258baf",
+        "unshuffle": "0fa5a876fe5082f3",
+        "unshuffle_exit": 0,
+    },
+    "m_block_seed5": {
+        "corpus": "d034f3ee2701d8c7",
+        "truth": "382f16e19c4f0809",
+        "aligned": "afbb804ac53090fb",
+        "unshuffle": "4a484f92094f84df",
+        "unshuffle_exit": 0,
+    },
+    "two_block_seed1": {
+        "corpus": "0fd3b8a6dcc54779",
+        "truth": "124f45d9c436cb2e",
+        "profile_csv": "1ec54ff13274d09f",
+        "analyze": "f978a79e960aa146",
+        "aligned": "7f3128725c96a156",
+        "unshuffle2": "3428bb165772de4f",
+        "unshuffle2_exit": 0,
+    },
+    "two_block_seed2": {
+        "corpus": "27be3db54eafb46a",
+        "truth": "2036a4a813008555",
+        "profile_csv": "e16b743ca05dda8c",
+        "analyze": "3bd1904a54c3b7a9",
+        "aligned": "f65aa7b903388bb4",
+        "unshuffle2": "23b45534d26e5182",
+        "unshuffle2_exit": 0,
+    },
+    "two_block_seed3": {
+        "corpus": "b597231fe9ee1712",
+        "truth": "2ee37f93a4a6578e",
+        "profile_csv": "3393854fb43d68a4",
+        "analyze": "180f5900295de830",
+        "aligned": "2ebf4817392d659e",
+        "unshuffle2": "3eb35449dad160f7",
+        "unshuffle2_exit": 1,
+    },
+    "verify_p_2": {
+        "verify_prob": "50295d79c1287a55",
+        "verify_prob_exit": 0,
+    },
+    "verify_p_n": {
+        "verify_prob": "e22e3118aa5c18cd",
+        "verify_prob_exit": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(tmp_path, name):
+    build, args = CASES[name]
+    assert build(tmp_path, *args) == GOLDEN[name]

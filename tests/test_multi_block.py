@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
 from unshuffle.multi_block import (
@@ -37,6 +39,9 @@ def test_config_validation():
         AlignConfig(weight_base=1.0)
     with pytest.raises(ValueError):
         AlignConfig(reference_column=-1)
+    for part_max in (0, -3):
+        with pytest.raises(ValueError):
+            AlignConfig(structured_part_max=part_max)
     assert AlignConfig().part_threshold(80) == 20
     assert AlignConfig(structured_part_max=7).part_threshold(80) == 7
 
@@ -62,6 +67,21 @@ def test_boundary_detection_by_hand():
     ])
     c = ShuffledCorpus(values=values, q=8)
     assert detect_block_boundary(c, AlignConfig()) == 2
+
+
+@settings(deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 10), st.integers(1, 16)),
+              elements=st.integers(0, 7)),
+       st.sampled_from([1, 3, None]))
+def test_boundary_matches_row_loop(values, part_max):
+    config = AlignConfig(structured_part_max=part_max)
+    threshold = config.part_threshold(values.shape[1])
+    expected = len(values)
+    for row in range(len(values)):
+        if 2 <= len(np.unique(values[row])) <= threshold:
+            expected = row
+            break
+    assert detect_block_boundary(ShuffledCorpus(values=values, q=8), config) == expected
 
 
 def test_boundary_no_structured_row():

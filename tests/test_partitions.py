@@ -4,9 +4,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unshuffle.model import ShuffledCorpus
 from unshuffle.partitions import (
+    distinct_counts,
     distinct_subset_sums,
     partition_profile,
     profile_to_csv,
@@ -53,13 +56,28 @@ def test_partition_profile():
     assert profile.max_size == 3
 
 
+@settings(deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+              elements=st.integers(0, 5)))
+def test_distinct_counts_matches_unique(values):
+    counts = distinct_counts(values)
+    assert counts.tolist() == [len(np.unique(row)) for row in values]
+
+
+def test_distinct_counts_wide_rows():
+    # 2**18 // 70001 = 3 rows per sorted block: blocks of 3, 3 and 1 rows.
+    values = np.random.default_rng(3).integers(0, 50000, size=(7, 70000))
+    values[2] = 4
+    values[5, ::2] = 9
+    counts = distinct_counts(values)
+    assert counts.tolist() == [len(np.unique(row)) for row in values]
+
+
 def test_two_valued_rows():
     c = corpus([[1, 1, 1],
                 [1, 2, 1],
                 [1, 2, 3]])
-    found = two_valued_rows(c)
-    assert [row for row, _ in found] == [1]
-    assert found[0][1].parts == ((0, 2), (1,))
+    assert two_valued_rows(c).tolist() == [1]
 
 
 def test_distinct_subset_sums():

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.perms import BlockStructure, apply_perm, cyclic_shift_perm
+from unshuffle.model import ModelParams, ShuffledCorpus, apply_unshuffle, generate
+from unshuffle.partitions import row_partition
+from unshuffle.perms import (
+    BlockStructure,
+    apply_perm,
+    cyclic_shift_perm,
+    identity,
+    invert,
+)
 from unshuffle.scoring import two_block_recovery
 from unshuffle.two_block import (
     NotIdentifiableError,
@@ -153,3 +162,74 @@ def test_alignment_score_bound():
     shifted_loci = {(l - 10) % total for l in loci}
     untouched = total - len(loci | shifted_loci)
     assert result.score >= untouched
+
+
+def vote_oracle(corpus):
+    """The bipartition vote written out row by row: count each two-part
+    partition by its side without column 0; the earliest row breaks ties."""
+    counts, order = {}, {}
+    for row in range(corpus.n_rows):
+        part = row_partition(corpus, row)
+        if part.size != 2:
+            continue
+        side = part.parts[0] if 0 not in part.parts[0] else part.parts[1]
+        counts[side] = counts.get(side, 0) + 1
+        order.setdefault(side, row)
+    if not counts:
+        return None
+    return max(counts, key=lambda s: (counts[s], -order[s]))
+
+
+def check_vote(corpus):
+    expected = vote_oracle(corpus)
+    if expected is None:
+        with pytest.raises(NotIdentifiableError):
+            estimate_swapped_columns(corpus)
+    else:
+        assert estimate_swapped_columns(corpus) == expected
+
+
+corpus_values = arrays(np.int64, st.tuples(st.integers(1, 10), st.integers(2, 20)),
+                       elements=st.integers(0, 2))
+
+
+@settings(deadline=None)
+@given(corpus_values)
+def test_swapped_vote_matches_oracle(values):
+    check_vote(ShuffledCorpus(values=values, q=3))
+
+
+@st.composite
+def tied_corpora(draw):
+    """Two bipartitions seen equally often, rows in random order, plus a
+    few rows of random values."""
+    n_cols = draw(st.integers(2, 20))
+    side = st.lists(st.booleans(), min_size=n_cols - 1,
+                    max_size=n_cols - 1).filter(any)
+    repeats = draw(st.integers(1, 3))
+    rows = [[0] + draw(side) for _ in range(2)] * repeats
+    noise = draw(arrays(np.int64, (draw(st.integers(0, 3)), n_cols),
+                        elements=st.integers(0, 2)))
+    values = np.concatenate([np.array(rows, dtype=np.int64), noise])
+    order = draw(st.permutations(range(len(values))))
+    return ShuffledCorpus(values=values[list(order)], q=3)
+
+
+@settings(deadline=None)
+@given(tied_corpora())
+def test_swapped_vote_tie_break_matches_oracle(corpus):
+    check_vote(corpus)
+
+
+@settings(deadline=None)
+@given(corpus_values)
+def test_realignment_matches_per_column_permutations(values):
+    corpus = ShuffledCorpus(values=values, q=3)
+    try:
+        result = unshuffle2(corpus)
+    except NotIdentifiableError:
+        return
+    inv, ident = invert(result.pi_hat), identity(corpus.n_rows)
+    perms = [inv if n in result.swapped_cols else ident
+             for n in range(corpus.n_cols)]
+    assert result.aligned.same_as(apply_unshuffle(corpus, perms))
