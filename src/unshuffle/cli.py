@@ -34,7 +34,7 @@ from .model import (
     make_rng,
 )
 from .multi_block import AlignConfig, AlignmentFailedError, unshuffle_m
-from .partitions import partition_profile, profile_to_csv, two_valued_rows
+from .partitions import partition_profile, profile_to_csv
 from .perms import BlockStructure, all_perms, apply_perm, coherent_block_permutation
 from .probs import MC_EVENTS, monte_carlo
 from .scoring import m_block_recovery, two_block_recovery
@@ -155,7 +155,7 @@ def _cmd_analyze(args) -> int:
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
     profile = partition_profile(corpus)
-    two_valued = two_valued_rows(corpus)
+    two_valued = np.flatnonzero(np.array(profile.sizes) == 2)
     if args.out is not None:
         profile_to_csv(profile, args.out)
     report = Report(
@@ -212,8 +212,7 @@ def _cmd_unshuffle(args) -> int:
     spec = CorpusSpec(source=args.corpus, record_len=args.record_len,
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
-    config = AlignConfig(weight_base=args.weight_base,
-                         structured_part_max=args.part_max,
+    config = AlignConfig(structured_part_max=args.part_max,
                          reference_column=args.ref_col)
     try:
         result = unshuffle_m(corpus, config)
@@ -229,8 +228,7 @@ def _cmd_unshuffle(args) -> int:
         args, lambda truth: m_block_recovery(result, truth)))
     report = Report(
         command="unshuffle",
-        params={"corpus": str(args.corpus), "record_len": args.record_len,
-                "weight_base": args.weight_base},
+        params={"corpus": str(args.corpus), "record_len": args.record_len},
         result={"block_count": result.block_count,
                 "lengths": list(result.lengths),
                 "failure_reason": result.failure_reason},
@@ -376,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--truth", type=Path, default=None,
                    help="truth sidecar to score against")
-    p.add_argument("--weight-base", type=float, default=2.0)
     p.add_argument("--part-max", type=int, default=None,
                    help="structured-row partition size cap")
     p.add_argument("--ref-col", type=int, default=0)

@@ -7,24 +7,27 @@ row weights so that matching the first remaining row outweighs all deeper
 rows combined.  A block boundary is then read off the row partition sizes,
 the finished block is truncated, and the process repeats.
 
-Scores are compared exactly: for weight base >= 2 the weighted sum order
-coincides with lexicographic order on the per-row match vector (each weight
-strictly exceeds the sum of all later ones), so matches are compared as
-packed bit strings; smaller bases fall back to exact rational sums.
+With each weight larger than the sum of all later ones (base 2 or more),
+the best score is the lexicographic maximum of the per-row match vector, so
+no score is ever summed.  The shift search refines candidates instead, for
+all columns at once: every column starts with all L shifts, each row in turn
+keeps the candidates that match there (if any do), and a column is settled
+once one candidate remains; on a tie the smallest shift wins.  After the
+first row a column typically has about 1 + L/q candidates left, so a round
+costs about O(N*L) rather than O(N*L^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .model import ShuffledCorpus, apply_unshuffle
+from .model import ShuffledCorpus
 from .partitions import distinct_counts
-from .perms import BlockStructure, Perm, compose, identity
+from .perms import BlockStructure
 
 
 class AlignmentFailedError(RuntimeError):
@@ -37,14 +40,11 @@ class InconsistentResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlignConfig:
-    weight_base: float = 2          # geometric row-weight base; > 1
     max_rounds: Optional[int] = None
     structured_part_max: Optional[int] = None  # boundary threshold; default ceil(N/4)
     reference_column: int = 0
 
     def __post_init__(self):
-        if self.weight_base <= 1:
-            raise ValueError(f"weight base must exceed 1, got {self.weight_base}")
         if self.reference_column < 0:
             raise ValueError("reference column must be nonnegative")
         if self.structured_part_max is not None and self.structured_part_max < 1:
@@ -78,45 +78,43 @@ class MUnshuffleResult:
                  "boundary": t.boundary} for t in self.trace]
 
 
-def _match_matrix(ref: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """matches[l, s] == (col[(l+s) mod L] == ref[l])."""
-    size = len(ref)
-    idx = (np.arange(size)[:, None] + np.arange(size)[None, :]) % size
-    return col[idx] == ref[:, None]
+def lex_best_shifts(ref: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
+    """Per column of ``cols``, the cyclic shift ``s`` whose match vector
+    ``[cols[(l+s) mod L, k] == ref[l] for l in rows]`` is lexicographically
+    largest (earlier rows weigh more); the smallest such shift on ties.
+    ``rows`` defaults to every row, in order.
+
+    Candidate refinement: every column starts with all L shifts; at each row
+    the candidates that match there are kept, if any do, and a column leaves
+    the active set once a single candidate remains."""
+    size, n_cols = cols.shape
+    shifts = np.zeros(n_cols, dtype=np.intp)
+    active = np.arange(n_cols)
+    cand = np.ones((size, n_cols), dtype=bool)
+    for l in (range(size) if rows is None else rows):
+        done = cand.sum(axis=0) == 1
+        if done.any():
+            shifts[active[done]] = cand[:, done].argmax(axis=0)
+            active, cand, cols = active[~done], cand[:, ~done], cols[:, ~done]
+            if not len(active):
+                break
+        eq = cols == ref[l]
+        hits = np.concatenate((eq[l:], eq[:l])) & cand  # hits[s] = eq[(l+s) mod L]
+        matched = hits.any(axis=0)
+        cand[:, matched] = hits[:, matched]
+    shifts[active] = cand.argmax(axis=0)
+    return shifts
 
 
-def _best_shift(matches: np.ndarray, base) -> int:
-    """Shift with the maximal weighted match score, smallest shift on ties."""
-    if base >= 2:
-        packed = np.packbits(matches, axis=0)  # row 0 is the most significant
-        keys = [packed[:, s].tobytes() for s in range(matches.shape[1])]
-        return int(max(range(len(keys)), key=lambda s: (keys[s], -s)))
-    weights = [Fraction(base) ** -(l + 1) for l in range(matches.shape[0])]
-    best_s, best = 0, None
-    for s in range(matches.shape[1]):
-        score = sum(w for w, m in zip(weights, matches[:, s]) if m)
-        if best is None or score > best:
-            best_s, best = s, score
-    return best_s
-
-
-def weighted_shift_align(corpus: ShuffledCorpus, ref_col: int,
-                         config: AlignConfig) -> tuple:
+def weighted_shift_align(corpus: ShuffledCorpus, ref_col: int) -> np.ndarray:
     """Per-column circular shift maximizing the geometrically weighted match
-    count against the reference column; the reference's own shift is 0."""
+    count against the reference column (the lexicographic maximum of the
+    per-row match vector); the reference's own shift is 0."""
     if corpus.n_rows < 1 or corpus.n_cols < 1:
         raise ValueError("empty corpus")
     if ref_col >= corpus.n_cols:
         raise ValueError(f"reference column {ref_col} outside [0, {corpus.n_cols})")
-    ref = corpus.values[:, ref_col]
-    shifts = []
-    for k in range(corpus.n_cols):
-        if k == ref_col:
-            shifts.append(0)
-            continue
-        shifts.append(_best_shift(_match_matrix(ref, corpus.values[:, k]),
-                                  config.weight_base))
-    return tuple(shifts)
+    return lex_best_shifts(corpus.values[:, ref_col], corpus.values)
 
 
 def detect_block_boundary(corpus: ShuffledCorpus, config: AlignConfig) -> int:
@@ -133,62 +131,72 @@ def detect_block_boundary(corpus: ShuffledCorpus, config: AlignConfig) -> int:
 
 
 def _modal_rows(values: np.ndarray):
-    """Per-row most frequent value and its multiplicity."""
-    modes = np.empty(values.shape[0], dtype=values.dtype)
-    counts = np.empty(values.shape[0], dtype=np.intp)
-    for row in range(values.shape[0]):
-        uniq, cnt = np.unique(values[row], return_counts=True)
-        best = int(np.argmax(cnt))
-        modes[row], counts[row] = uniq[best], cnt[best]
-    return modes, counts
+    """Per-row most frequent value and its multiplicity; the smallest such
+    value on ties.  One row-wise sort, then run lengths."""
+    n_cols = values.shape[1]
+    ordered = np.sort(values, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    flat_starts = np.flatnonzero(starts)
+    runs = np.diff(flat_starts, append=ordered.size)  # a run never spans rows
+    run_rows = flat_starts // n_cols
+    row_first_run = np.flatnonzero(np.diff(run_rows, prepend=-1))
+    counts = np.maximum.reduceat(runs, row_first_run)
+    best = np.flatnonzero(runs == counts[run_rows])
+    best = best[np.diff(run_rows[best], prepend=-1) != 0]  # first (smallest) per row
+    return ordered.ravel()[flat_starts[best]], counts
 
 
-def _repair_outliers(values: np.ndarray, shifts, base, passes: int = 2) -> tuple:
+def _repair_outliers(aligned: np.ndarray, passes: int = 2) -> np.ndarray:
     """Fix columns that locked onto a spurious shift.  A misaligned column
     turns otherwise conserved rows into near-unanimous ones, which the
     boundary rule would misread as structure.  Rows where all but a handful
     of columns agree are taken as a trusted partial template; any column
     disagreeing with most of them is realigned against those rows alone (at
-    its true shift it matches every one of them)."""
-    size, n_cols = values.shape
+    its true shift it matches every one of them).
+
+    Rotates the columns of ``aligned`` in place and returns the extra shift
+    of each column."""
+    size, n_cols = aligned.shape
     tol = max(1, n_cols // 16)
-    shifts = list(shifts)
-    aligned = np.empty_like(values)
-    for k, s in enumerate(shifts):
-        aligned[:, k] = np.roll(values[:, k], -s) if s else values[:, k]
+    extra = np.zeros(n_cols, dtype=np.intp)
     for _ in range(passes):
         modes, counts = _modal_rows(aligned)
-        trusted = np.where(counts >= n_cols - tol)[0]
+        trusted = np.flatnonzero(counts >= n_cols - tol)
         if len(trusted) == 0:
             break
         agreement = (aligned[trusted] == modes[trusted, None]).mean(axis=0)
-        outliers = np.where(agreement < 0.7)[0]
+        outliers = np.flatnonzero(agreement < 0.7)
         if len(outliers) == 0:
             break
-        for k in outliers:
-            matches = _match_matrix(modes, aligned[:, k])[trusted]
-            extra = _best_shift(matches, base)
-            if extra:
-                aligned[:, k] = np.roll(aligned[:, k], -extra)
-                shifts[k] = (shifts[k] + extra) % size
-    return tuple(shifts)
+        shifts = np.zeros(n_cols, dtype=np.intp)
+        shifts[outliers] = lex_best_shifts(modes, aligned[:, outliers], trusted)
+        _roll_columns(aligned, shifts)
+        extra = (extra + shifts) % size
+    return extra
 
 
-def _suffix_shift_perm(total: int, start: int, shift: int) -> Perm:
-    """Identity on [0, start); cyclic shift by ``shift`` on [start, total)."""
-    rem = total - start
-    return tuple(range(start)) + tuple(start + (j + shift) % rem for j in range(rem))
+def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
+    """Rotate column k of ``values`` up by ``shifts[k]`` rows, in place: one
+    ``np.roll`` per distinct nonzero shift."""
+    for s in np.unique(shifts):
+        if s:
+            cols = np.flatnonzero(shifts == s)
+            values[:, cols] = np.roll(values[:, cols], -s, axis=0)
 
 
 def unshuffle_m(corpus: ShuffledCorpus,
                 config: AlignConfig = AlignConfig()) -> MUnshuffleResult:
-    """Iterate align + truncate until the rows are exhausted, composing the
-    per-round suffix shifts into per-column permutations on the full record."""
+    """Iterate align + truncate until the rows are exhausted.  Each round
+    rotates the row suffix of every column; the rotations accumulate in one
+    (L, N) index array whose column k is column k's permutation of the full
+    record."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
     max_rounds = config.max_rounds if config.max_rounds is not None else total
-    perms = [identity(total) for _ in range(n_cols)]
     working = corpus.values.copy()
+    rows = np.arange(total, dtype=np.min_scalar_type(total))  # small: it lives as long as working
+    index = np.repeat(rows[:, None], n_cols, axis=1)
     lengths = []
     trace = []
     start = 0
@@ -197,15 +205,15 @@ def unshuffle_m(corpus: ShuffledCorpus,
     rounds = 0
     while start < total and rounds < max_rounds:
         rounds += 1
+        rem = total - start
         sub = ShuffledCorpus(values=working[start:], q=corpus.q)
-        shifts = weighted_shift_align(sub, config.reference_column, config)
-        shifts = _repair_outliers(working[start:], shifts, config.weight_base)
-        for k, s in enumerate(shifts):
-            if s:
-                working[start:, k] = np.roll(working[start:, k], -s)
-            perms[k] = compose(perms[k], _suffix_shift_perm(total, start, s))
+        shifts = weighted_shift_align(sub, config.reference_column)
+        _roll_columns(working[start:], shifts)
+        shifts = (shifts + _repair_outliers(working[start:])) % rem
+        _roll_columns(index[start:], shifts)
         boundary = detect_block_boundary(
             ShuffledCorpus(values=working[start:], q=corpus.q), config)
+        shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:
             if rounds == 1:
@@ -214,7 +222,6 @@ def unshuffle_m(corpus: ShuffledCorpus,
             success = False
             reason = f"no conserved leading row at row {start}; {total - start} rows unresolved"
             break
-        rem = total - start
         if boundary == rem and any(shifts):
             # All columns became identical: the remaining blocks occur in one
             # common cyclic order, so no row is structured.  The boundaries
@@ -232,9 +239,10 @@ def unshuffle_m(corpus: ShuffledCorpus,
     if start < total and success:
         success = False
         reason = f"round cap reached with {total - start} rows unresolved"
-    aligned = apply_unshuffle(corpus, perms)
+    column_perms = tuple(tuple(index[:, k].tolist()) for k in range(n_cols))
     return MUnshuffleResult(block_count=len(lengths), lengths=tuple(lengths),
-                            column_perms=tuple(perms), aligned=aligned,
+                            column_perms=column_perms,
+                            aligned=ShuffledCorpus(values=working, q=corpus.q),
                             trace=tuple(trace), success=success,
                             failure_reason=reason)
 

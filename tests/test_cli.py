@@ -107,6 +107,7 @@ def test_usage_errors(tmp_path):
     assert run("unshuffle", corpus, "--record-len", 5, "--ref-col", 4) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
+    assert run("unshuffle", corpus, "--record-len", 5, "--weight-base", 2) == 2
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -8,6 +8,7 @@ the same outputs has to reproduce exactly these.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from unshuffle.cli import cli_main
@@ -71,6 +72,46 @@ def m_block_outputs(tmp_path, seed, perm_counts, part_max):
             "unshuffle_exit": code}
 
 
+# The headline six-block setup (restricted prefix, q=256, L=82) with its
+# column multiplicities scaled by ``factor``: N = 80 * factor.
+SIX_BLOCK_LENGTHS = "11,11,12,12,16,20"
+SIX_BLOCK_MULT = [16, 8, 8, 4, 4, 4, 4] + [2] * 8 + [1] * 16
+
+
+def six_block_counts(seed, factor):
+    """31 distinct block permutations drawn from ``seed``, as a 1-based
+    ``--perm-counts`` spec with the headline multiplicities times ``factor``."""
+    rng = np.random.default_rng((seed, 0))
+    pool = []
+    while len(pool) < len(SIX_BLOCK_MULT):
+        sigma = tuple(int(a) for a in rng.permutation(6))
+        if sigma not in pool:
+            pool.append(sigma)
+    return ";".join(",".join(str(a + 1) for a in sigma) + f"={m * factor}"
+                    for sigma, m in zip(pool, SIX_BLOCK_MULT))
+
+
+def six_block_outputs(tmp_path, seed, factor):
+    corpus = tmp_path / "m.bin"
+    truth = tmp_path / "m.bin.truth.json"
+    assert run("--seed", seed, "gen", "--q", 256, "--lengths", SIX_BLOCK_LENGTHS,
+               "--n", sum(SIX_BLOCK_MULT) * factor, "--lambda", 0.5,
+               "--perm-counts", six_block_counts(seed, factor),
+               "--restricted-prefix", "--out", corpus) == 0
+    aligned = tmp_path / "aligned.bin"
+    solve_report = tmp_path / "unshuffle.json"
+    code = run("unshuffle", corpus, "--record-len", 82, "--truth", truth,
+               "--out", aligned, "--json-report", solve_report)
+    report = json.loads(solve_report.read_text())
+    return {"corpus": digest(corpus.read_bytes()),
+            "truth": digest(truth.read_bytes()),
+            "aligned": digest(aligned.read_bytes()),
+            "unshuffle": report_digest(solve_report),
+            "trace": digest(json.dumps(report["diagnostics"]["trace"]).encode()),
+            "failure_reason": report["result"]["failure_reason"],
+            "unshuffle_exit": code}
+
+
 def verify_prob_outputs(tmp_path, seed, event):
     report = tmp_path / "prob.json"
     code = run("--seed", seed, "verify-prob", event, "--q", 3,
@@ -86,6 +127,10 @@ CASES = {
     "two_block_seed3": (two_block_outputs, (3, 3, "5,7", 10, 0.6, 0.5)),
     "m_block_seed4": (m_block_outputs, (4, "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8", None)),
     "m_block_seed5": (m_block_outputs, (5, "1,2,3=20;3,1,2=12;2,1,3=8", 3)),
+    # N=400 recovers; N=1200 fails on the noise-row threshold (a known
+    # defect), which pins the failing trace as well.
+    "six_block_n400": (six_block_outputs, (1_000_001, 5)),
+    "six_block_n1200": (six_block_outputs, (1_000_002, 15)),
     "verify_p_n": (verify_prob_outputs, (6, "p_n")),
     "verify_p_2": (verify_prob_outputs, (6, "p_2")),
 }
@@ -104,6 +149,24 @@ GOLDEN = {
         "aligned": "afbb804ac53090fb",
         "unshuffle": "4a484f92094f84df",
         "unshuffle_exit": 0,
+    },
+    "six_block_n400": {
+        "corpus": "791e03f503c0c63f",
+        "truth": "912ce01a42013765",
+        "aligned": "56830aab201578c9",
+        "unshuffle": "1ca01096bf3a7ed7",
+        "trace": "82bdb215bdd0d7ad",
+        "failure_reason": None,
+        "unshuffle_exit": 0,
+    },
+    "six_block_n1200": {
+        "corpus": "6d4bc75bc57b0895",
+        "truth": "f8e07ad10b5d6f23",
+        "aligned": "3922df122925c660",
+        "unshuffle": "3e2e7c58675b9bbc",
+        "trace": "604dde61cc8ef12b",
+        "failure_reason": "no conserved leading row at row 1; 81 rows unresolved",
+        "unshuffle_exit": 1,
     },
     "two_block_seed1": {
         "corpus": "0fd3b8a6dcc54779",

@@ -9,7 +9,9 @@ from unshuffle.model import ModelParams, ShuffledCorpus, generate
 from unshuffle.multi_block import (
     AlignConfig,
     InconsistentResultError,
+    _modal_rows,
     detect_block_boundary,
+    lex_best_shifts,
     recover_block_structure,
     unshuffle_m,
     weighted_shift_align,
@@ -36,8 +38,6 @@ def all_cbp_corpus(lengths, q, template=None):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AlignConfig(weight_base=1.0)
-    with pytest.raises(ValueError):
         AlignConfig(reference_column=-1)
     for part_max in (0, -3):
         with pytest.raises(ValueError):
@@ -52,9 +52,61 @@ def test_weighted_alignment_prefers_leading_rows():
     ref = np.array([5, 6, 1, 2])
     col = np.array([9, 5, 6, 7])
     c = ShuffledCorpus(values=np.column_stack([ref, col]), q=10)
-    shifts = weighted_shift_align(c, 0, AlignConfig())
+    shifts = weighted_shift_align(c, 0)
     assert shifts[0] == 0
     assert np.array_equal(np.roll(col, -shifts[1])[:2], ref[:2])
+
+
+def match_matrix_oracle(ref, col):
+    """matches[l, s] == (col[(l+s) mod L] == ref[l])."""
+    size = len(ref)
+    idx = (np.arange(size)[:, None] + np.arange(size)[None, :]) % size
+    return col[idx] == ref[:, None]
+
+
+def best_shift_oracle(matches):
+    """Shift with the maximal weighted match score at weight base 2, smallest
+    shift on ties: the match columns compared as packed bit strings, row 0
+    most significant."""
+    packed = np.packbits(matches, axis=0)
+    keys = [packed[:, s].tobytes() for s in range(matches.shape[1])]
+    return int(max(range(len(keys)), key=lambda s: (keys[s], -s)))
+
+
+@st.composite
+def shift_cases(draw):
+    """A reference column and columns over a small alphabet (many ties),
+    plus an ascending row subset."""
+    size = draw(st.integers(1, 40))
+    q = draw(st.integers(2, 8))
+    n_cols = draw(st.integers(1, 6))
+    values = draw(arrays(np.int64, (size, n_cols + 1), elements=st.integers(0, q - 1)))
+    rows = sorted(draw(st.sets(st.integers(0, size - 1))))
+    return values[:, 0], values[:, 1:], np.array(rows, dtype=np.intp)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shift_cases())
+def test_lex_best_shifts_matches_weighted_oracle(case):
+    ref, cols, rows = case
+    expected = [best_shift_oracle(match_matrix_oracle(ref, cols[:, k]))
+                for k in range(cols.shape[1])]
+    assert lex_best_shifts(ref, cols).tolist() == expected
+    # the outlier repair's form: only the trusted rows count, in order
+    expected = [best_shift_oracle(match_matrix_oracle(ref, cols[:, k])[rows])
+                for k in range(cols.shape[1])]
+    assert lex_best_shifts(ref, cols, rows).tolist() == expected
+
+
+@settings(deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
+              elements=st.integers(0, 5)))
+def test_modal_rows_matches_unique_loop(values):
+    modes, counts = _modal_rows(values)
+    for row in range(len(values)):
+        uniq, cnt = np.unique(values[row], return_counts=True)
+        best = int(np.argmax(cnt))  # first maximum: the smallest value on ties
+        assert (modes[row], counts[row]) == (uniq[best], cnt[best])
 
 
 def test_boundary_detection_by_hand():
