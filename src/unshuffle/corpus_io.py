@@ -116,24 +116,42 @@ def word_bytes_for(q: int) -> int:
     raise ValueError(f"alphabet size {q} exceeds 4-byte words")
 
 
+def _json_indented(items, indent: str, brackets: str = "[]") -> str:
+    """How ``json.dumps(..., indent=2)`` lays out a list (or, with brackets
+    "{}", an object) nested at ``indent``, given its items already encoded."""
+    if not items:
+        return brackets
+    pad = "\n" + indent + "  "
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + indent + brackets[1]
+
+
 def write_truth(truth: GroundTruth, q: int, path) -> None:
-    doc = {
-        "q": q,
-        "block_lengths": list(truth.blocks.lengths),
-        "template": truth.template.tolist(),
-        "noise_loci": [l + 1 for l in truth.noise_loci],
-        "column_perms": [list(to_one_line(p)) for p in truth.column_perms],
+    """The sidecar, byte for byte as ``json.dumps(doc, indent=2)`` writes it;
+    every value is an int or a flat list of ints, so the layout is built
+    directly, each distinct permutation once."""
+    perms = {p: _json_indented(list(map(str, to_one_line(p))), "    ")
+             for p in set(truth.column_perms)}
+    fields = {
+        "q": str(q),
+        "block_lengths": _json_indented(list(map(str, truth.blocks.lengths)), "  "),
+        "template": _json_indented(list(map(str, truth.template.tolist())), "  "),
+        "noise_loci": _json_indented([str(l + 1) for l in truth.noise_loci], "  "),
+        "column_perms": _json_indented([perms[p] for p in truth.column_perms], "  "),
     }
-    _atomic_write(Path(path), json.dumps(doc, indent=2).encode())
+    text = _json_indented([f'"{key}": {value}' for key, value in fields.items()],
+                          "", "{}")
+    _atomic_write(Path(path), text.encode())
 
 
 def load_truth(path) -> tuple:
     """Returns (GroundTruth, q)."""
     doc = json.loads(Path(path).read_text())
+    rows = list(map(tuple, doc["column_perms"]))
+    perms = {row: from_one_line(row) for row in set(rows)}
     truth = GroundTruth(
         template=np.array(doc["template"], dtype=np.int64),
         noise_loci=tuple(l - 1 for l in doc["noise_loci"]),
-        column_perms=tuple(from_one_line(p) for p in doc["column_perms"]),
+        column_perms=tuple(map(perms.__getitem__, rows)),
         blocks=BlockStructure(tuple(doc["block_lengths"])),
     )
     return truth, int(doc["q"])

@@ -7,7 +7,9 @@ blocks rearranged by a per-message coherent block permutation.
 
 RNG stream order is part of the contract (template, then noise loci, then
 per-column permutations, then noise values column by column), so identical
-seed and parameters give bit-identical output.
+seed and parameters give bit-identical output.  A batch of corpora draws
+trial after trial in exactly that order; only the assembly of the drawn
+values into columns is batched across trials.
 """
 
 from __future__ import annotations
@@ -195,25 +197,59 @@ def sample_ground_truth(params: ModelParams, rng: np.random.Generator) -> Ground
                        column_perms=column_perms, blocks=blocks)
 
 
+def generate_batch(params: ModelParams, trials: int,
+                   rng: Optional[np.random.Generator] = None):
+    """Draw ``trials`` (corpus, ground truth) pairs from one stream, the same
+    stream as ``trials`` successive :func:`generate` calls.
+
+    The draws stay per trial, in stream order: the ground truth, then the
+    noise values column by column, each column's loci in sorted order.  Only
+    the assembly is batched: the columns of all trials lie on one flat axis
+    and are built about 2**16 entries at a time (template, plus noise mod q
+    at the trial's loci, gathered through the column's coherent block
+    permutation), so the temporaries stay small however large the batch.
+
+    Returns ``(values, truths)``: ``values[t]`` is the L x N corpus of trial
+    ``t``, stored column by column (the record layout of a corpus file).
+    """
+    if rng is None:
+        rng = make_rng(params.seed)
+    n = params.num_messages
+    truths, noise = [], []
+    for _ in range(trials):
+        truth = sample_ground_truth(params, rng)
+        noise.append(rng.integers(0, params.q, size=(n, len(truth.noise_loci)),
+                                  dtype=np.int64))
+        truths.append(truth)
+    noise = np.concatenate(noise)
+    templates = np.stack([t.template for t in truths])
+    loci = np.array([t.noise_loci for t in truths], dtype=np.intp)
+    sigmas = sorted(params.perm_counts())
+    cbps = np.array([coherent_block_permutation(s, params.blocks) for s in sigmas],
+                    dtype=np.intp)
+    lookup = {s: i for i, s in enumerate(sigmas)}
+    perm_index = np.fromiter(
+        (lookup[p] for t in truths for p in t.column_perms), dtype=np.intp,
+        count=trials * n)
+
+    total = params.blocks.total
+    out = np.empty((trials * n, total), dtype=np.int64)
+    step = max(1, 2 ** 16 // total)
+    for start in range(0, trials * n, step):
+        stop = min(start + step, trials * n)
+        trial = np.arange(start, stop) // n
+        cols = templates[trial]
+        at = (np.arange(stop - start)[:, None], loci[trial])
+        cols[at] = (cols[at] + noise[start:stop]) % params.q
+        out[start:stop] = np.take_along_axis(cols, cbps[perm_index[start:stop]], axis=1)
+    return out.reshape(trials, n, total).transpose(0, 2, 1), truths
+
+
 def generate(params: ModelParams, rng: Optional[np.random.Generator] = None):
     """Draw (corpus, ground truth).  With rng=None, a fresh generator is
     seeded from params.seed."""
-    if rng is None:
-        rng = make_rng(params.seed)
-    truth = sample_ground_truth(params, rng)
-    total = params.blocks.total
-    n = params.num_messages
-    loci = np.array(truth.noise_loci, dtype=np.intp)
-    # Noise draws column by column, each column's loci in sorted order.
-    noise = rng.integers(0, params.q, size=(n, len(loci)), dtype=np.int64)
-    a = np.empty((total, n), dtype=np.int64)
-    cbps = truth.column_cbps()
-    for col in range(n):
-        noisy = truth.template.copy()
-        if len(loci):
-            noisy[loci] = (noisy[loci] + noise[col]) % params.q
-        a[:, col] = apply_perm(cbps[col], noisy)
-    return ShuffledCorpus(values=a, q=params.q), truth
+    values, truths = generate_batch(params, 1, rng)
+    return ShuffledCorpus(values=values[0], q=params.q), truths[0]
 
 
 def apply_unshuffle(corpus: ShuffledCorpus, perms) -> ShuffledCorpus:

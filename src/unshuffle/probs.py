@@ -13,7 +13,9 @@ for those events simulates exactly that single-row experiment.  (A fixed
 noise-locus count of ceil(lambda * L) introduces an O(1/L) dependence
 between the two memberships that the formulas ignore.)  The conserved-row
 and prefix events are simulated on full generated corpora, where the
-formulas are exact.
+formulas are exact.  Those corpora are drawn trial by trial in the
+generator's stream order; only their assembly and the event test are
+batched, a chunk of about 2**12 symbols at a time.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import ModelParams, generate, make_rng
-from .partitions import distinct_counts, row_partition
-from .two_block import estimate_conserved_rows
+from .model import ModelParams, generate_batch, make_rng
+from .partitions import distinct_counts
+from .perms import identity
 
 
 def _qpow(q: float, exponent: float) -> float:
@@ -183,38 +185,53 @@ def _mc_two_value(event, params, trials, rng):
     return _report(event, closed, hits, trials)
 
 
+def _chunks(params, trials, rng):
+    """Generated trials, about 2**12 symbols per chunk: (values, truths)."""
+    step = max(1, 2 ** 12 // (params.blocks.total * params.num_messages))
+    for start in range(0, trials, step):
+        yield generate_batch(params, min(step, trials - start), rng)
+
+
 def _mc_conserved_rows(event, params, trials, rng):
-    length = params.blocks.total
-    p0, p1 = l_sets_exact_prob(params.q, params.num_messages, length,
+    p0, p1 = l_sets_exact_prob(params.q, params.num_messages, params.blocks.total,
                                params.noise_fraction, float(params.shuffle))
     closed = p0 if event == "l0_exact" else p1
+    unswapped = identity(2)
     hits = 0
-    for _ in range(trials):
-        corpus, truth = generate(params, rng)
-        rows0, rows1 = estimate_conserved_rows(corpus, truth.swapped_columns)
-        noise_free = sorted(set(range(length)) - set(truth.noise_loci))
-        if event == "l0_exact":
-            hits += list(rows0) == noise_free
-        else:
-            first_len = params.blocks.lengths[0]
-            expected = sorted((l - first_len) % length for l in noise_free)
-            hits += list(rows1) == expected
+    for values, truths in _chunks(params, trials, rng):
+        swapped = np.array([[p != unswapped for p in t.column_perms]
+                            for t in truths])
+        if not 0 < np.count_nonzero(swapped[0]) < params.num_messages:
+            raise ValueError("swapped column set must be nonempty and proper")
+        side = ~swapped if event == "l0_exact" else swapped
+        records = values.transpose(0, 2, 1)
+        first = records[np.arange(len(records)), side.argmax(axis=1)]
+        # A row is conserved when every column on the side agrees with the
+        # side's first column there.
+        conserved = ((records == first[:, None]) | ~side[:, :, None]).all(axis=1)
+        noise_free = np.ones(conserved.shape, dtype=bool)
+        np.put_along_axis(noise_free, np.array([t.noise_loci for t in truths],
+                                               dtype=np.intp), False, axis=1)
+        if event == "l1_exact":
+            # The swapped columns start with the second block.
+            noise_free = np.roll(noise_free, -params.blocks.lengths[0], axis=1)
+        hits += int(np.count_nonzero((conserved == noise_free).all(axis=1)))
     return _report(event, closed, hits, trials)
 
 
 def _mc_prefix_partition(event, params, trials, rng):
-    starts = params.blocks.block_starts
     realized = len({s[0] for s in params.perm_counts()})
     closed, _ = prefix_partition_prob(params.q, realized)
     hits = 0
-    for _ in range(trials):
-        corpus, truth = generate(params, rng)
-        observed = row_partition(corpus, 0).as_sets()
-        by_first_block = {}
-        for col, sigma in enumerate(truth.column_perms):
-            by_first_block.setdefault(sigma[0], []).append(col)
-        induced = frozenset(frozenset(cols) for cols in by_first_block.values())
-        hits += observed == induced
+    for values, truths in _chunks(params, trials, rng):
+        # Row 0 splits the columns as their first blocks do iff the two
+        # partitions and their common refinement have equally many parts.
+        row0 = values[:, 0]
+        first_block = np.array([[p[0] for p in t.column_perms] for t in truths])
+        parts = distinct_counts(row0)
+        same = ((parts == distinct_counts(first_block))
+                & (parts == distinct_counts(first_block * params.q + row0)))
+        hits += int(np.count_nonzero(same))
     return _report(event, closed, hits, trials)
 
 
@@ -226,6 +243,10 @@ def monte_carlo(event: str, params: ModelParams, trials: int,
     """Estimate the named event frequency and compare with its closed form."""
     if trials < 100:
         raise ValueError("too few trials for a meaningful standard error")
+    if (event in ("p_n", "p_2", "l0_exact", "l1_exact")
+            and isinstance(params.shuffle, Mapping)):
+        raise ValueError(f"{event} needs a two-block swapped fraction, "
+                         "not permutation counts")
     if rng is None:
         rng = make_rng(params.seed)
     if event in ("p_n", "p_2"):

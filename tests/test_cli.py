@@ -94,7 +94,7 @@ def test_sync_demo():
     assert run("--seed", 5, "sync-demo") == 0
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert run("bogus-command") == 2
     assert run("unshuffle2", tmp_path / "missing.bin", "--record-len", 10) == 2
     assert run("gen", "--q", 3, "--lengths", "4,6", "--n", 10) == 2  # no --out
@@ -108,6 +108,24 @@ def test_usage_errors(tmp_path):
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--weight-base", 2) == 2
+    # verify-prob: the two-block events need a swapped fraction that leaves
+    # both sides nonempty; every event needs 100 trials.
+    for event in ("p_n", "p_2", "l0_exact", "l1_exact"):
+        sides = ("swapped fraction must leave both sides nonempty"
+                 if event in ("p_n", "p_2")
+                 else "swapped column set must be nonempty and proper")
+        for flags, message in [
+                (("--n", 20, "--perm-counts", "1,2=10;2,1=10", "--trials", 200),
+                 f"{event} needs a two-block swapped fraction, not permutation counts"),
+                (("--n", 20, "--nu", 0, "--trials", 200), sides),
+                (("--n", 20, "--nu", 1, "--trials", 200), sides),
+                (("--n", 1, "--nu", 0.3, "--trials", 200), sides),
+                (("--n", 20, "--nu", 0.3, "--trials", 50),
+                 "too few trials for a meaningful standard error")]:
+            capsys.readouterr()
+            assert run("verify-prob", event, "--q", 3, "--lengths", "4,6",
+                       "--lambda", 0.5, *flags) == 2
+            assert capsys.readouterr().err.strip() == f"verify-prob: {message}"
 
 
 def test_solver_failure_exit_code(tmp_path):

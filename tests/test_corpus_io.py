@@ -1,9 +1,12 @@
 """Corpus serialization, truth sidecars, and reports."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unshuffle.corpus_io import (
     CorpusSpec,
@@ -17,8 +20,8 @@ from unshuffle.corpus_io import (
     write_report,
     write_truth,
 )
-from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.perms import BlockStructure
+from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
+from unshuffle.perms import BlockStructure, all_perms, to_one_line
 
 
 def test_spec_validation(tmp_path):
@@ -100,6 +103,22 @@ def test_round_trip_wide_alphabet(tmp_path):
     assert np.array_equal(loaded.values, corpus.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), word_bytes=st.sampled_from([1, 2, 4]),
+       rows=st.integers(1, 9), cols=st.integers(1, 9))
+def test_corpus_round_trip_property(data, word_bytes, rows, cols):
+    q = 256 ** word_bytes
+    values = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=rows * cols,
+                                         max_size=rows * cols)),
+                      dtype=np.int64).reshape(rows, cols)
+    corpus = ShuffledCorpus(values=values, q=q)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = CorpusSpec(source=Path(tmp) / "c.bin", record_len=rows,
+                          word_bytes=word_bytes)
+        write_corpus(corpus, spec)
+        assert load_corpus(spec).same_as(corpus)
+
+
 def test_write_rejects_oversized_alphabet(tmp_path):
     corpus = ShuffledCorpus(values=np.array([[300]]), q=512)
     with pytest.raises(ValueError):
@@ -140,3 +159,30 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     write_report(report, path)
     assert Report.from_json(path.read_text()) == report
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), q=st.integers(2, 2 ** 32),
+       n=st.integers(0, 12))
+def test_truth_sidecar_matches_json_dumps(data, m, q, n):
+    # The sidecar is written without the json encoder; it must still be
+    # exactly what json.dumps(doc, indent=2) produces, empty lists included.
+    blocks = BlockStructure(data.draw(st.tuples(*[st.integers(1, 5)] * m)))
+    template = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=blocks.total,
+                                           max_size=blocks.total)), dtype=np.int64)
+    loci = tuple(sorted(data.draw(st.sets(st.integers(0, blocks.total - 1)))))
+    perms = tuple(data.draw(st.lists(st.sampled_from(list(all_perms(m))),
+                                     min_size=n, max_size=n)))
+    truth = GroundTruth(template=template, noise_loci=loci, column_perms=perms,
+                        blocks=blocks)
+    doc = {"q": q, "block_lengths": list(blocks.lengths),
+           "template": template.tolist(), "noise_loci": [l + 1 for l in loci],
+           "column_perms": [list(to_one_line(p)) for p in perms]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "truth.json"
+        write_truth(truth, q, path)
+        assert path.read_bytes() == json.dumps(doc, indent=2).encode()
+        loaded, loaded_q = load_truth(path)
+    assert loaded_q == q
+    assert np.array_equal(loaded.template, template)
+    assert (loaded.noise_loci, loaded.column_perms, loaded.blocks) == (loci, perms, blocks)

@@ -112,12 +112,31 @@ def six_block_outputs(tmp_path, seed, factor):
             "unshuffle_exit": code}
 
 
-def verify_prob_outputs(tmp_path, seed, event):
+# Monte Carlo settings of acceptance criteria 6 (two-block) and 8 (prefix).
+MC_TWO_BLOCK = ("--q", 3, "--lengths", "4,6", "--n", 20, "--lambda", 0.5,
+                "--nu", 0.3)
+MC_PREFIX = ("--q", 16, "--lengths", "2,3,4,5", "--n", 16, "--lambda", 0,
+             "--perm-counts", "1,2,3,4=4;2,3,4,1=4;3,4,1,2=4;4,1,2,3=4")
+
+
+def verify_prob_outputs(tmp_path, seed, event, flags=MC_TWO_BLOCK, trials=2000):
     report = tmp_path / "prob.json"
-    code = run("--seed", seed, "verify-prob", event, "--q", 3,
-               "--lengths", "4,6", "--n", 20, "--lambda", 0.5, "--nu", 0.3,
-               "--trials", 2000, "--json-report", report)
+    code = run("--seed", seed, "verify-prob", event, *flags,
+               "--trials", trials, "--json-report", report)
     return {"verify_prob": report_digest(report), "verify_prob_exit": code}
+
+
+def distinguished_prefix_outputs(tmp_path, seed):
+    """``gen`` with a distinguished prefix: at q=5 and M=4 the block-start
+    values are redrawn several times before they are pairwise distinct."""
+    corpus = tmp_path / "d.bin"
+    truth = tmp_path / "d.bin.truth.json"
+    assert run("--seed", seed, "gen", "--q", 5, "--lengths", "3,4,5,6",
+               "--n", 30, "--lambda", 0.4,
+               "--perm-counts", "1,2,3,4=12;2,1,4,3=10;4,3,2,1=8",
+               "--distinguished-prefix", "--out", corpus) == 0
+    return {"corpus": digest(corpus.read_bytes()),
+            "truth": digest(truth.read_bytes())}
 
 
 CASES = {
@@ -133,6 +152,10 @@ CASES = {
     "six_block_n1200": (six_block_outputs, (1_000_002, 15)),
     "verify_p_n": (verify_prob_outputs, (6, "p_n")),
     "verify_p_2": (verify_prob_outputs, (6, "p_2")),
+    "verify_l0_exact": (verify_prob_outputs, (7, "l0_exact", MC_TWO_BLOCK, 1000)),
+    "verify_l1_exact": (verify_prob_outputs, (7, "l1_exact", MC_TWO_BLOCK, 1000)),
+    "verify_prefix": (verify_prob_outputs, (7, "prefix_partition", MC_PREFIX, 1000)),
+    "distinguished_prefix": (distinguished_prefix_outputs, (8,)),
 }
 
 GOLDEN = {
@@ -202,6 +225,22 @@ GOLDEN = {
     "verify_p_n": {
         "verify_prob": "e22e3118aa5c18cd",
         "verify_prob_exit": 0,
+    },
+    "verify_l0_exact": {
+        "verify_prob": "a0bf9fd9e06e2718",
+        "verify_prob_exit": 0,
+    },
+    "verify_l1_exact": {
+        "verify_prob": "c88ce6bccf68d190",
+        "verify_prob_exit": 0,
+    },
+    "verify_prefix": {
+        "verify_prob": "2509a472e4c31afd",
+        "verify_prob_exit": 0,
+    },
+    "distinguished_prefix": {
+        "corpus": "e4a45460e0551a9b",
+        "truth": "58a7d0b6ab165760",
     },
 }
 

@@ -10,6 +10,7 @@ from unshuffle.model import (
     ShuffledCorpus,
     apply_unshuffle,
     generate,
+    generate_batch,
     make_rng,
     sample_ground_truth,
 )
@@ -109,36 +110,59 @@ def test_noise_infeasible_when_all_positions_excluded():
         sample_ground_truth(params, make_rng(0))
 
 
-def test_generate_against_straight_line_reimplementation():
-    # [DERIVED] replay the documented RNG stream (template, loci,
-    # column-order shuffle, then noise column by column) with explicit loops
-    # and block slicing instead of permutation machinery.
-    params = ModelParams(q=3, blocks=BlockStructure((2, 4)), num_messages=4,
-                         noise_fraction=0.5, shuffle=0.5, seed=77)
-    corpus, truth = generate(params)
-
-    rng = make_rng(77)
-    template = rng.integers(0, 3, size=6, dtype=np.int64)
-    loci = sorted(int(x) for x in rng.choice(np.arange(6), size=3, replace=False))
-    pool = [(0, 1)] * 2 + [(1, 0)] * 2
-    order = rng.permutation(4)
+def straight_line_two_block(q, lengths, n, k, n_swapped, rng):
+    """Replay the documented RNG stream (template, loci, column-order
+    shuffle, then noise column by column) with explicit loops and block
+    slicing instead of permutation machinery."""
+    total = sum(lengths)
+    template = rng.integers(0, q, size=total, dtype=np.int64)
+    loci = sorted(int(x) for x in rng.choice(np.arange(total), size=k, replace=False))
+    pool = [(0, 1)] * (n - n_swapped) + [(1, 0)] * n_swapped
+    order = rng.permutation(n)
     perms = [pool[i] for i in order]
-    noise = rng.integers(0, 3, size=(4, 3), dtype=np.int64)
+    noise = rng.integers(0, q, size=(n, k), dtype=np.int64)
 
-    expected = np.empty((6, 4), dtype=np.int64)
-    for col in range(4):
+    expected = np.empty((total, n), dtype=np.int64)
+    for col in range(n):
         noisy = template.copy()
-        noisy[loci] = (noisy[loci] + noise[col]) % 3
+        noisy[loci] = (noisy[loci] + noise[col]) % q
         if perms[col] == (0, 1):
             expected[:, col] = noisy
         else:
             # swapped column: second block first
-            expected[:, col] = np.concatenate([noisy[2:], noisy[:2]])
+            expected[:, col] = np.concatenate([noisy[lengths[0]:], noisy[:lengths[0]]])
+    return expected, template, loci, perms
 
+
+def test_generate_against_straight_line_reimplementation():
+    # [DERIVED] one corpus, then batches: a batch draws the same stream as
+    # successive corpora, and 3 * 700 columns of length 100 span several
+    # assembly blocks of about 2**16 entries, some straddling two trials.
+    params = ModelParams(q=3, blocks=BlockStructure((2, 4)), num_messages=4,
+                         noise_fraction=0.5, shuffle=0.5, seed=77)
+    corpus, truth = generate(params)
+    expected, template, loci, perms = straight_line_two_block(
+        3, (2, 4), 4, 3, 2, make_rng(77))
     assert np.array_equal(corpus.values, expected)
     assert np.array_equal(truth.template, template)
     assert list(truth.noise_loci) == loci
     assert list(truth.column_perms) == perms
+
+    for q, lengths, n, lam, nu, trials in [(3, (2, 4), 4, 0.5, 0.5, 5),
+                                           (7, (40, 60), 700, 0.3, 0.4, 3),
+                                           (5, (1, 2), 9, 0.0, 0.2, 4)]:
+        params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
+                             noise_fraction=lam, shuffle=nu)
+        values, truths = generate_batch(params, trials, make_rng(5))
+        assert values.shape == (trials, sum(lengths), n)
+        rng = make_rng(5)
+        for t in range(trials):
+            expected, template, loci, perms = straight_line_two_block(
+                q, lengths, n, params.noise_count, params.shuffled_count, rng)
+            assert np.array_equal(values[t], expected)
+            assert np.array_equal(truths[t].template, template)
+            assert list(truths[t].noise_loci) == loci
+            assert list(truths[t].column_perms) == perms
 
 
 def test_noise_values_roughly_uniform():

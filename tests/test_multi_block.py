@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
@@ -181,6 +181,23 @@ def test_generated_recovery_with_noise():
     corpus, truth = generate(params)
     result = unshuffle_m(corpus)
     assert m_block_recovery(result, truth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_noiseless_restricted_prefix_recovers(data, m, seed):
+    # Without noise, with pairwise distinct template values and every block
+    # arrangement present (fewer arrangements can be cyclic rotations of
+    # one another, which no cyclic alignment tells apart), the blocks and
+    # every column's frame are recovered.
+    lengths = data.draw(st.tuples(*[st.integers(1, 6)] * m))
+    counts = {s: data.draw(st.integers(1, 3)) for s in all_perms(m)}
+    params = ModelParams(q=2 ** 16, blocks=BlockStructure(lengths),
+                         num_messages=sum(counts.values()), noise_fraction=0.0,
+                         shuffle=counts, restricted_prefix=True, seed=seed)
+    corpus, truth = generate(params)
+    assume(len(set(truth.template.tolist())) == len(truth.template))
+    assert m_block_recovery(unshuffle_m(corpus), truth)
 
 
 def test_trace_records_rounds():

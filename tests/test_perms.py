@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unshuffle.perms import (
     BlockStructure,
@@ -72,6 +73,24 @@ def test_compose_convention():
         v = rng.integers(0, 50, size=6)
         assert np.array_equal(apply_perm(compose(p, q), v),
                               apply_perm(q, apply_perm(p, v)))
+
+
+def perms_of(n):
+    return st.permutations(list(range(n))).map(tuple)
+
+
+@given(data=st.data(), n=st.integers(1, 12))
+def test_invert_compose_identities(data, n):
+    p, q, r = (data.draw(perms_of(n)) for _ in range(3))
+    e = identity(n)
+    assert compose(p, invert(p)) == compose(invert(p), p) == e
+    assert invert(invert(p)) == p
+    assert compose(p, e) == compose(e, p) == p
+    assert compose(compose(p, q), r) == compose(p, compose(q, r))
+    assert invert(compose(p, q)) == compose(invert(q), invert(p))
+    v = np.arange(100, 100 + n)
+    assert np.array_equal(apply_perm(compose(p, q), v), apply_perm(q, apply_perm(p, v)))
+    assert np.array_equal(apply_perm(invert(p), apply_perm(p, v)), v)
 
 
 def test_one_line_round_trip():

@@ -4,11 +4,15 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from unshuffle.model import ModelParams
-from unshuffle.perms import BlockStructure
+from unshuffle.model import ModelParams, generate, make_rng
+from unshuffle.partitions import row_partition
+from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import (
     MC_EVENTS,
+    _mc_conserved_rows,
+    _mc_prefix_partition,
     gap_decay,
     l_sets_exact_prob,
     monte_carlo,
@@ -142,3 +146,83 @@ def test_mc_input_validation():
         monte_carlo("unknown", params_for("p_n"), 1_000)
     assert set(MC_EVENTS) == {"p_n", "p_2", "l0_exact", "l1_exact",
                               "prefix_partition"}
+
+
+# The per-trial Monte Carlo loops the batched events replaced, kept as the
+# oracle: one generated corpus per trial, tested one row set at a time.
+def conserved_hits_oracle(event, params, trials, rng):
+    from unshuffle.two_block import estimate_conserved_rows
+    length = params.blocks.total
+    hits = 0
+    for _ in range(trials):
+        corpus, truth = generate(params, rng)
+        rows0, rows1 = estimate_conserved_rows(corpus, truth.swapped_columns)
+        noise_free = sorted(set(range(length)) - set(truth.noise_loci))
+        if event == "l0_exact":
+            hits += list(rows0) == noise_free
+        else:
+            first_len = params.blocks.lengths[0]
+            expected = sorted((l - first_len) % length for l in noise_free)
+            hits += list(rows1) == expected
+    return hits
+
+
+def prefix_hits_oracle(params, trials, rng):
+    hits = 0
+    for _ in range(trials):
+        corpus, truth = generate(params, rng)
+        observed = row_partition(corpus, 0).as_sets()
+        by_first_block = {}
+        for col, sigma in enumerate(truth.column_perms):
+            by_first_block.setdefault(sigma[0], []).append(col)
+        induced = frozenset(frozenset(cols) for cols in by_first_block.values())
+        hits += observed == induced
+    return hits
+
+
+def chunk_trials(params, extra):
+    """A trial count past the first chunk boundary of the batched events
+    (chunks of about 2**12 symbols)."""
+    step = max(1, 2 ** 12 // (params.blocks.total * params.num_messages))
+    return step + extra
+
+
+@settings(max_examples=40, deadline=None)
+@given(event=st.sampled_from(["l0_exact", "l1_exact"]),
+       q=st.integers(2, 5), lengths=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+       n=st.integers(8, 20), lam=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       nu=st.sampled_from([0.1, 0.3, 0.5, 0.8]), restricted=st.booleans(),
+       extra=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_conserved_rows_match_per_trial_loop(event, q, lengths, n, lam, nu,
+                                                     restricted, extra, seed):
+    params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
+                         noise_fraction=lam, shuffle=nu, restricted_prefix=restricted)
+    assume(0 < params.shuffled_count < n)
+    assume(params.noise_count <= sum(lengths) - 2 * restricted)
+    trials = chunk_trials(params, extra)
+    report = _mc_conserved_rows(event, params, trials, make_rng(seed))
+    assert round(report.mc_estimate * trials) == \
+        conserved_hits_oracle(event, params, trials, make_rng(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.integers(2, 6), m=st.integers(1, 4),
+       lam=st.sampled_from([0.0, 0.3, 1.0]), prefix=st.sampled_from(["", "restricted", "distinguished"]),
+       extra=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_prefix_partition_matches_per_trial_loop(data, q, m, lam, prefix,
+                                                         extra, seed):
+    lengths = data.draw(st.tuples(*[st.integers(1, 5)] * m))
+    sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                max_size=5, unique=True))
+    counts = {s: data.draw(st.integers(2, 8)) for s in sigmas}
+    assume(sum(lengths) * sum(counts.values()) >= 48)  # chunks of at most 85 trials
+    assume(prefix != "distinguished" or q >= m)
+    params = ModelParams(q=q, blocks=BlockStructure(lengths),
+                         num_messages=sum(counts.values()), noise_fraction=lam,
+                         shuffle=counts, restricted_prefix=prefix == "restricted",
+                         distinguished_prefix=prefix == "distinguished")
+    assume(params.noise_count <= sum(lengths) - (m if prefix else 0))
+    trials = chunk_trials(params, extra)
+    report = _mc_prefix_partition("prefix_partition", params, trials, make_rng(seed))
+    assert round(report.mc_estimate * trials) == \
+        prefix_hits_oracle(params, trials, make_rng(seed))
