@@ -7,7 +7,6 @@ from .perms import (
     block_permutation,
     coherent_block_permutation,
     compose,
-    cyclic_shift_perm,
     from_one_line,
     identity,
     invert,

@@ -262,6 +262,9 @@ def _cmd_verify_prob(args) -> int:
 
 
 def _cmd_sync_demo(args) -> int:
+    # An instance is a noiseless corpus of the model: check q and n as gen does.
+    ModelParams(q=args.q, blocks=args.lengths, num_messages=args.n,
+                noise_fraction=0.0)
     rng = make_rng(args.seed)
     instance, _, sigmas = sample_sync_instance(args.lengths, args.q, args.n, rng)
     assignment = brute_force_sync(instance)

@@ -53,7 +53,9 @@ class CorpusSpec:
         return self.record_len * self.word_bytes
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, data) -> None:
+    """Write any bytes-like object (a C-contiguous array included) to
+    ``path`` through a temporary file in the same directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -105,8 +107,8 @@ def write_corpus(corpus: ShuffledCorpus, spec: CorpusSpec) -> None:
     if corpus.q > spec.q:
         raise ValueError(
             f"alphabet {corpus.q} does not fit {spec.word_bytes}-byte words")
-    data = corpus.values.T.astype(WORD_DTYPES[spec.word_bytes]).tobytes()
-    _atomic_write(spec.source, data)
+    _atomic_write(spec.source, np.ascontiguousarray(
+        corpus.values.T, dtype=WORD_DTYPES[spec.word_bytes]))
 
 
 def word_bytes_for(q: int) -> int:

@@ -40,7 +40,6 @@ class InconsistentResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlignConfig:
-    max_rounds: Optional[int] = None
     structured_part_max: Optional[int] = None  # boundary threshold; default ceil(N/4)
     reference_column: int = 0
 
@@ -193,7 +192,6 @@ def unshuffle_m(corpus: ShuffledCorpus,
     record."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
-    max_rounds = config.max_rounds if config.max_rounds is not None else total
     working = corpus.values.copy()
     rows = np.arange(total, dtype=np.min_scalar_type(total))  # small: it lives as long as working
     index = np.repeat(rows[:, None], n_cols, axis=1)
@@ -202,9 +200,7 @@ def unshuffle_m(corpus: ShuffledCorpus,
     start = 0
     success = True
     reason = None
-    rounds = 0
-    while start < total and rounds < max_rounds:
-        rounds += 1
+    while start < total:
         rem = total - start
         sub = ShuffledCorpus(values=working[start:], q=corpus.q)
         shifts = weighted_shift_align(sub, config.reference_column)
@@ -216,7 +212,7 @@ def unshuffle_m(corpus: ShuffledCorpus,
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:
-            if rounds == 1:
+            if start == 0:
                 raise AlignmentFailedError(
                     "first row still structured after round-one alignment")
             success = False
@@ -236,9 +232,6 @@ def unshuffle_m(corpus: ShuffledCorpus,
             continue
         lengths.append(boundary)
         start += boundary
-    if start < total and success:
-        success = False
-        reason = f"round cap reached with {total - start} rows unresolved"
     column_perms = tuple(tuple(index[:, k].tolist()) for k in range(n_cols))
     return MUnshuffleResult(block_count=len(lengths), lengths=tuple(lengths),
                             column_perms=column_perms,

@@ -87,12 +87,6 @@ def to_one_line(p: Sequence[int]) -> tuple:
     return tuple(int(a) + 1 for a in p)
 
 
-def cyclic_shift_perm(n: int, shift: int) -> Perm:
-    """The cyclic shift sending position a to a + shift (mod n); applying it
-    rotates a vector left by ``shift``."""
-    return tuple((a + shift) % n for a in range(n))
-
-
 @dataclass(frozen=True)
 class BlockStructure:
     """Ordered positive block lengths partitioning [0, total)."""

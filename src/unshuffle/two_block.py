@@ -4,6 +4,12 @@ boundary, and the noise loci, then align the corpus.
 The estimated swapped set is canonicalized so that column 0 is never in it
 (which side of the bipartition was "shuffled" is not identifiable from the
 corpus alone; swapping sides replaces the shift by its complement).
+
+Each side sees the template only at its conserved rows: side 0 through
+column 0, side 1 through its first column, each a (values, defined) pair of
+arrays.  The shift between them is read off an exact histogram of position
+offsets over all pairs of equal defined values, and the swapped columns are
+then rotated back by that shift.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import two_valued_rows
-from .perms import Perm, cyclic_shift_perm
 
 
 class NotIdentifiableError(RuntimeError):
@@ -21,28 +26,9 @@ class NotIdentifiableError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PartialTuple:
-    """A length-L tuple with possibly-undefined entries.
-
-    An undefined entry matches nothing, including another undefined entry.
-    """
-
-    values: np.ndarray   # int values; meaningful only where defined
-    defined: np.ndarray  # bool mask
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def matches(self, other: "PartialTuple") -> np.ndarray:
-        """Elementwise match mask; undefined never matches."""
-        return self.defined & other.defined & (self.values == other.values)
-
-
-@dataclass(frozen=True)
 class TwoUnshuffleResult:
     swapped_cols: tuple          # estimated swapped column set (sorted)
     first_block_len: int         # estimated length of the leading block
-    pi_hat: Perm                 # the estimated cyclic block shift
     conserved_unswapped: tuple   # rows constant over the unswapped columns
     conserved_swapped: tuple     # rows constant over the swapped columns
     aligned: ShuffledCorpus
@@ -65,72 +51,76 @@ def estimate_swapped_columns(corpus: ShuffledCorpus) -> tuple:
     return tuple(np.flatnonzero(sides[winner]).tolist())
 
 
-def estimate_conserved_rows(corpus: ShuffledCorpus, swapped_cols):
-    """Rows constant over the unswapped columns, and rows constant over the
-    swapped columns."""
-    swapped = np.zeros(corpus.n_cols, dtype=bool)
+def _swapped_mask(n_cols: int, swapped_cols) -> np.ndarray:
+    swapped = np.zeros(n_cols, dtype=bool)
     swapped[list(swapped_cols)] = True
     if not swapped.any() or swapped.all():
         raise ValueError("swapped column set must be nonempty and proper")
-    side0 = corpus.values[:, ~swapped]
-    side1 = corpus.values[:, swapped]
-    const0 = (side0 == side0[:, :1]).all(axis=1)
-    const1 = (side1 == side1[:, :1]).all(axis=1)
-    return (tuple(np.flatnonzero(const0).tolist()),
-            tuple(np.flatnonzero(const1).tolist()))
+    return swapped
 
 
-def partial_templates(corpus: ShuffledCorpus, swapped_cols, conserved) -> tuple:
-    """The template as seen by each side: defined where the side is constant."""
-    rows0, rows1 = conserved
-    swapped = np.zeros(corpus.n_cols, dtype=bool)
-    swapped[list(swapped_cols)] = True
-    unswapped_col = int(np.flatnonzero(~swapped)[0])
-    swapped_col = int(np.flatnonzero(swapped)[0])
-
-    def build(rows, col):
-        values = np.zeros(corpus.n_rows, dtype=np.int64)
-        defined = np.zeros(corpus.n_rows, dtype=bool)
-        idx = list(rows)
-        defined[idx] = True
-        values[idx] = corpus.values[idx, col]
-        return PartialTuple(values=values, defined=defined)
-
-    return build(rows0, unswapped_col), build(rows1, swapped_col)
+def estimate_conserved_rows(corpus: ShuffledCorpus, swapped_cols):
+    """Rows constant over the unswapped columns, and rows constant over the
+    swapped columns.  Each side is compared with its first column on a bool
+    mask, so no side is copied."""
+    values = corpus.values
+    swapped = _swapped_mask(corpus.n_cols, swapped_cols)
+    conserved = []
+    for side in (~swapped, swapped):
+        same = values == values[:, np.argmax(side), None]
+        same |= ~side
+        conserved.append(tuple(np.flatnonzero(same.all(axis=1)).tolist()))
+    return tuple(conserved)
 
 
-def align_cyclic(a0: PartialTuple, a1: PartialTuple) -> tuple:
-    """Best cyclic shift: the s maximizing |{l : a0[(l+s) mod L] == a1[l]}|,
-    undefined entries never matching; ties break toward the smallest s."""
-    if len(a0) != len(a1):
-        raise ValueError("partial tuples differ in length")
-    total = len(a0)
-    best_s, best_score = 0, -1
-    for s in range(total):
-        v0 = np.roll(a0.values, -s)
-        d0 = np.roll(a0.defined, -s)
-        score = int(np.count_nonzero(d0 & a1.defined & (v0 == a1.values)))
-        if score > best_score:
-            best_s, best_score = s, score
-    return best_s, best_score
+def align_cyclic(v0: np.ndarray, d0: np.ndarray,
+                 v1: np.ndarray, d1: np.ndarray) -> tuple:
+    """Best cyclic shift between two partially defined templates: the s
+    maximizing |{l : d0[i] and d1[l] and v0[i] == v1[l], i = (l+s) mod L}|,
+    undefined entries never matching; ties break toward the smallest s.
+
+    Every pair (i, j) of defined positions holding equal values adds 1 to
+    bin (i - j) mod L of an offset histogram.  Positions of side 0 are taken
+    in blocks of about 2**18 comparisons, so memory stays bounded."""
+    total = len(v0)
+    if len(v1) != total:
+        raise ValueError("templates differ in length")
+    i, j = np.flatnonzero(d0), np.flatnonzero(d1)
+    hist = np.zeros(total, dtype=np.intp)
+    step = max(1, 2 ** 18 // (len(j) + 1))
+    for start in range(0, len(i), step):
+        block = i[start:start + step]
+        a, b = np.nonzero(v0[block, None] == v1[j])
+        hist += np.bincount((block[a] - j[b]) % total, minlength=total)
+    shift = int(np.argmax(hist))
+    return shift, int(hist[shift])
 
 
 def unshuffle2(corpus: ShuffledCorpus) -> TwoUnshuffleResult:
-    """Full pipeline: swapped set, conserved rows, partial templates, cyclic
-    alignment, and corpus realignment."""
+    """Full pipeline: swapped set, conserved rows, cyclic alignment of the
+    side templates, and corpus realignment.  The aligned corpus keeps the
+    memory layout of the input."""
+    values = corpus.values
     swapped_cols = estimate_swapped_columns(corpus)
     conserved = estimate_conserved_rows(corpus, swapped_cols)
-    a0, a1 = partial_templates(corpus, swapped_cols, conserved)
-    shift, score = align_cyclic(a0, a1)
-    aligned = corpus.values.copy()
-    for col in swapped_cols:
-        aligned[:, col] = np.roll(aligned[:, col], shift)
+    defined = np.zeros((2, corpus.n_rows), dtype=bool)
+    for side, rows in enumerate(conserved):
+        defined[side, list(rows)] = True
+    shift, score = align_cyclic(values[:, 0], defined[0],
+                                values[:, swapped_cols[0]], defined[1])
+    # Record-major view: rotating a swapped column right by the shift is two
+    # slice copies along its record.
+    records = values.T
+    swapped = _swapped_mask(corpus.n_cols, swapped_cols)[:, None]
+    out = np.empty_like(records)
+    np.copyto(out, records, where=~swapped)
+    np.copyto(out[:, shift:], records[:, :corpus.n_rows - shift], where=swapped)
+    np.copyto(out[:, :shift], records[:, corpus.n_rows - shift:], where=swapped)
     return TwoUnshuffleResult(
         swapped_cols=tuple(sorted(swapped_cols)),
         first_block_len=shift,
-        pi_hat=cyclic_shift_perm(corpus.n_rows, shift),
         conserved_unswapped=conserved[0],
         conserved_swapped=conserved[1],
-        aligned=ShuffledCorpus(values=aligned, q=corpus.q),
+        aligned=ShuffledCorpus(values=out.T, q=corpus.q),
         score=score,
     )

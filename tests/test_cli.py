@@ -108,6 +108,14 @@ def test_usage_errors(tmp_path, capsys):
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--weight-base", 2) == 2
+    # sync-demo checks q and n with gen's messages.
+    for flags, message in [(("--q", 0), "alphabet size must be >= 2, got 0"),
+                           (("--q", 1), "alphabet size must be >= 2, got 1"),
+                           (("--n", 0), "need at least one message"),
+                           (("--n", -1), "need at least one message")]:
+        capsys.readouterr()
+        assert run("sync-demo", *flags) == 2
+        assert capsys.readouterr().err.strip() == f"sync-demo: {message}"
     # verify-prob: the two-block events need a swapped fraction that leaves
     # both sides nonempty; every event needs 100 trials.
     for event in ("p_n", "p_2", "l0_exact", "l1_exact"):

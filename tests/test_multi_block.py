@@ -223,13 +223,6 @@ def test_recover_block_structure():
         recover_block_structure(broken)
 
 
-def test_round_cap_reports_failure():
-    c, _, _ = all_cbp_corpus((2, 3, 4), q=17)
-    result = unshuffle_m(c, AlignConfig(max_rounds=1))
-    assert not result.success
-    assert "unresolved" in result.failure_reason
-
-
 def test_aligned_matches_template_helper():
     params = ModelParams(q=23, blocks=BlockStructure((3, 5)), num_messages=6,
                          noise_fraction=0.0, shuffle=0.5, seed=2)

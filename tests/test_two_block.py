@@ -5,19 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unshuffle.model import ModelParams, ShuffledCorpus, apply_unshuffle, generate
+from unshuffle.model import ModelParams, ShuffledCorpus, generate
 from unshuffle.partitions import row_partition
-from unshuffle.perms import (
-    BlockStructure,
-    apply_perm,
-    cyclic_shift_perm,
-    identity,
-    invert,
-)
+from unshuffle.perms import BlockStructure
 from unshuffle.scoring import two_block_recovery
 from unshuffle.two_block import (
     NotIdentifiableError,
-    PartialTuple,
     align_cyclic,
     estimate_conserved_rows,
     estimate_swapped_columns,
@@ -29,13 +22,11 @@ def build(template, n_cols, swapped, first_len, q, noisy_entries=()):
     """Columns: copies of the template, with the given entries overwritten
     and the swapped columns cyclically shifted by first_len."""
     template = np.asarray(template, dtype=np.int64)
-    total = len(template)
-    shift = cyclic_shift_perm(total, first_len)
     values = np.repeat(template[:, None], n_cols, axis=1)
     for row, col, value in noisy_entries:
         values[row, col] = value
     for col in swapped:
-        values[:, col] = apply_perm(shift, values[:, col])
+        values[:, col] = np.roll(values[:, col], -first_len)
     return ShuffledCorpus(values=values, q=q)
 
 
@@ -52,32 +43,57 @@ def test_noiseless_hand_case():
                           np.repeat(np.array(template)[:, None], 6, axis=1))
 
 
-def test_align_cyclic_against_naive_search():
-    # [DERIVED] oracle: literal double loop over shifts and positions.
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        total = int(rng.integers(3, 12))
-        v0 = rng.integers(0, 4, size=total)
-        v1 = rng.integers(0, 4, size=total)
-        d0 = rng.random(total) < 0.7
-        d1 = rng.random(total) < 0.7
-        a0 = PartialTuple(values=v0, defined=d0)
-        a1 = PartialTuple(values=v1, defined=d1)
-        best_s, best_score = -1, -1
-        for s in range(total):
-            score = 0
-            for l in range(total):
-                if d0[(l + s) % total] and d1[l] and v0[(l + s) % total] == v1[l]:
-                    score += 1
-            if score > best_score:
-                best_s, best_score = s, score
-        assert align_cyclic(a0, a1) == (best_s, best_score)
+def align_oracle(v0, d0, v1, d1):
+    """The literal double loop over shifts and positions."""
+    total = len(v0)
+    v0, d0, v1, d1 = v0.tolist(), d0.tolist(), v1.tolist(), d1.tolist()
+    best_s, best_score = -1, -1
+    for s in range(total):
+        score = 0
+        for l in range(total):
+            i = (l + s) % total
+            if d0[i] and d1[l] and v0[i] == v1[l]:
+                score += 1
+        if score > best_score:
+            best_s, best_score = s, score
+    return best_s, best_score
 
 
-def test_partial_tuple_matches():
-    a = PartialTuple(values=np.array([1, 2, 3]), defined=np.array([True, True, False]))
-    b = PartialTuple(values=np.array([1, 0, 3]), defined=np.array([True, True, True]))
-    assert a.matches(b).tolist() == [True, False, False]
+@st.composite
+def side_templates(draw):
+    """Two length-L templates over q values with random definedness.  Some
+    draws have no pair of equal defined values at any shift: side 1 is
+    undefined everywhere, or its values lie outside side 0's."""
+    total = draw(st.integers(1, 60))
+    q = draw(st.integers(2, 6))
+    v0, v1 = (draw(arrays(np.int64, total, elements=st.integers(0, q - 1)))
+              for _ in range(2))
+    d0, d1 = (draw(arrays(np.bool_, total)) for _ in range(2))
+    disjoint = draw(st.sampled_from(["", "", "", "", "undefined", "values"]))
+    if disjoint == "undefined":
+        d1[:] = False
+    elif disjoint == "values":
+        v1 += q
+    return v0, d0, v1, d1
+
+
+@settings(deadline=None)
+@given(side_templates())
+def test_align_cyclic_against_naive_search(templates):
+    v0, d0, v1, d1 = templates
+    got = align_cyclic(*templates)
+    assert got == align_oracle(*templates)
+    if not np.isin(v0[d0], v1[d1]).any():
+        assert got == (0, 0)
+
+
+def test_align_cyclic_across_blocks():
+    # 700 defined positions on each side take more than one block of 2**18
+    # comparisons, so the histogram sums several blocks.
+    rng = np.random.default_rng(3)
+    v0, v1 = rng.integers(0, 2, size=(2, 700))
+    d0 = np.ones(700, dtype=bool)
+    assert align_cyclic(v0, d0, v1, d0) == align_oracle(v0, d0, v1, d0)
 
 
 def test_unswapped_only_not_identifiable():
@@ -229,7 +245,8 @@ def test_realignment_matches_per_column_permutations(values):
         result = unshuffle2(corpus)
     except NotIdentifiableError:
         return
-    inv, ident = invert(result.pi_hat), identity(corpus.n_rows)
-    perms = [inv if n in result.swapped_cols else ident
-             for n in range(corpus.n_cols)]
-    assert result.aligned.same_as(apply_unshuffle(corpus, perms))
+    expected = [np.roll(col, result.first_block_len)
+                if n in result.swapped_cols else col
+                for n, col in enumerate(corpus.values.T)]
+    assert result.aligned.same_as(
+        ShuffledCorpus(values=np.column_stack(expected), q=corpus.q))
