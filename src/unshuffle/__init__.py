@@ -17,24 +17,19 @@ from .model import (
     GroundTruth,
     ModelParams,
     ShuffledCorpus,
-    apply_unshuffle,
     generate,
     make_rng,
     sample_ground_truth,
 )
 from .partitions import (
     PartitionProfile,
-    RowPartition,
-    distinct_subset_sums,
     partition_profile,
-    row_partition,
     two_valued_rows,
 )
 from .two_block import TwoUnshuffleResult, unshuffle2
 from .multi_block import (
     AlignConfig,
     MUnshuffleResult,
-    recover_block_structure,
     unshuffle_m,
 )
 from .probs import (
@@ -45,7 +40,6 @@ from .probs import (
     p2_closed,
     p_n_closed,
     prefix_partition_prob,
-    stirling2,
 )
 from .sync import (
     PotentialAssignment,

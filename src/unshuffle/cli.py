@@ -38,7 +38,12 @@ from .partitions import partition_profile, profile_to_csv
 from .perms import BlockStructure, all_perms, apply_perm, coherent_block_permutation
 from .probs import MC_EVENTS, monte_carlo
 from .scoring import m_block_recovery, two_block_recovery
-from .sync import brute_force_sync, objective_pairwise, sample_sync_instance
+from .sync import (
+    brute_force_sync,
+    objective_pairwise,
+    realigned_corpus,
+    sample_sync_instance,
+)
 from .two_block import NotIdentifiableError, unshuffle2
 
 EXIT_OK = 0
@@ -111,10 +116,14 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--word-bytes", type=int, default=1, choices=(1, 2, 4))
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=Path, default=None, help="output path")
+def _add_report_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json-report", type=Path, default=None,
                         help="write a JSON run report here")
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=Path, default=None, help="output path")
+    _add_report_flag(parser)
 
 
 def _emit(report: Report, args) -> None:
@@ -126,12 +135,12 @@ def _emit(report: Report, args) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params = _model_params(args)
-    corpus, truth = generate(params)
-    word_bytes = args.word_bytes or word_bytes_for(params.q)
     if args.out is None:
         print("gen: --out is required", file=sys.stderr)
         return EXIT_USAGE
+    params = _model_params(args)
+    corpus, truth = generate(params)
+    word_bytes = args.word_bytes or word_bytes_for(params.q)
     spec = CorpusSpec(source=args.out, record_len=corpus.n_rows,
                       word_bytes=word_bytes)
     write_corpus(corpus, spec)
@@ -171,17 +180,26 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _score_against_truth(args, check) -> dict:
+def _truth_for(args, corpus):
+    """The ``--truth`` sidecar, None without one.  Its record length and
+    column count must match the corpus: the recovery checks compare column
+    by column."""
     if args.truth is None:
-        return {}
+        return None
     truth, _ = load_truth(args.truth)
-    return {"recovered": bool(check(truth))}
+    shape = (truth.blocks.total, len(truth.column_perms))
+    if shape != corpus.values.shape:
+        raise ValueError(
+            f"truth sidecar {args.truth} describes {shape[1]} records of "
+            f"length {shape[0]}, corpus has {corpus.n_cols} of length {corpus.n_rows}")
+    return truth
 
 
 def _cmd_unshuffle2(args) -> int:
     spec = CorpusSpec(source=args.corpus, record_len=args.record_len,
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
+    truth = _truth_for(args, corpus)
     try:
         result = unshuffle2(corpus)
     except NotIdentifiableError as exc:
@@ -191,8 +209,9 @@ def _cmd_unshuffle2(args) -> int:
         write_corpus(result.aligned,
                      CorpusSpec(source=args.out, record_len=args.record_len,
                                 word_bytes=args.word_bytes))
-    diagnostics = _score_against_truth(
-        args, lambda truth: two_block_recovery(result, truth))
+    diagnostics = {}
+    if truth is not None:
+        diagnostics["recovered"] = bool(two_block_recovery(result, truth))
     report = Report(
         command="unshuffle2",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
@@ -214,6 +233,7 @@ def _cmd_unshuffle(args) -> int:
     corpus = load_corpus(spec)
     config = AlignConfig(structured_part_max=args.part_max,
                          reference_column=args.ref_col)
+    truth = _truth_for(args, corpus)
     try:
         result = unshuffle_m(corpus, config)
     except AlignmentFailedError as exc:
@@ -224,8 +244,8 @@ def _cmd_unshuffle(args) -> int:
                      CorpusSpec(source=args.out, record_len=args.record_len,
                                 word_bytes=args.word_bytes))
     diagnostics = {"trace": result.trace_as_dict()}
-    diagnostics.update(_score_against_truth(
-        args, lambda truth: m_block_recovery(result, truth)))
+    if truth is not None:
+        diagnostics["recovered"] = m_block_recovery(result, truth)
     report = Report(
         command="unshuffle",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
@@ -268,10 +288,7 @@ def _cmd_sync_demo(args) -> int:
     rng = make_rng(args.seed)
     instance, _, sigmas = sample_sync_instance(args.lengths, args.q, args.n, rng)
     assignment = brute_force_sync(instance)
-    found = instance.columns.copy()
-    for j, sigma in enumerate(assignment.sigmas):
-        cbp = coherent_block_permutation(sigma, instance.blocks)
-        found[:, j] = apply_perm(cbp, instance.columns[:, j])
+    found = realigned_corpus(instance, assignment).values
     synchronized = bool(np.all(found == found[:, :1]))
     report = Report(
         command="sync-demo",
@@ -387,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("event", choices=MC_EVENTS)
     _add_model_flags(p)
     p.add_argument("--trials", type=int, default=10_000)
-    _add_output_flags(p)
+    _add_report_flag(p)
     p.set_defaults(func=_cmd_verify_prob)
 
     p = sub.add_parser("sync-demo", help="tiny brute-force synchronization")
     p.add_argument("--q", type=int, default=17)
     p.add_argument("--lengths", type=_parse_lengths, default=BlockStructure((2, 3, 4)))
     p.add_argument("--n", type=int, default=4)
-    _add_output_flags(p)
+    _add_report_flag(p)
     p.set_defaults(func=_cmd_sync_demo)
 
     p = sub.add_parser("selftest", help="reproduce the headline experiments")

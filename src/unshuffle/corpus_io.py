@@ -146,17 +146,29 @@ def write_truth(truth: GroundTruth, q: int, path) -> None:
 
 
 def load_truth(path) -> tuple:
-    """Returns (GroundTruth, q)."""
+    """Returns (GroundTruth, q).  A document without the sidecar's fields and
+    types, or whose template, noise loci or permutations do not fit its
+    block lengths, raises ValueError."""
     doc = json.loads(Path(path).read_text())
-    rows = list(map(tuple, doc["column_perms"]))
-    perms = {row: from_one_line(row) for row in set(rows)}
-    truth = GroundTruth(
-        template=np.array(doc["template"], dtype=np.int64),
-        noise_loci=tuple(l - 1 for l in doc["noise_loci"]),
-        column_perms=tuple(map(perms.__getitem__, rows)),
-        blocks=BlockStructure(tuple(doc["block_lengths"])),
-    )
-    return truth, int(doc["q"])
+    try:
+        rows = list(map(tuple, doc["column_perms"]))
+        perms = {row: from_one_line(row) for row in set(rows)}
+        truth = GroundTruth(
+            template=np.array(doc["template"], dtype=np.int64),
+            noise_loci=tuple(l - 1 for l in doc["noise_loci"]),
+            column_perms=tuple(map(perms.__getitem__, rows)),
+            blocks=BlockStructure(tuple(doc["block_lengths"])),
+        )
+        q = int(doc["q"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed truth sidecar {path}: {exc!r}") from exc
+    blocks = truth.blocks
+    if (truth.template.shape != (blocks.total,)
+            or not all(0 <= l < blocks.total for l in truth.noise_loci)
+            or any(len(p) != blocks.block_count for p in perms.values())):
+        raise ValueError(f"malformed truth sidecar {path}: template, noise loci "
+                         f"or permutations do not fit block lengths {blocks.lengths}")
+    return truth, q
 
 
 @dataclass(frozen=True)
@@ -170,10 +182,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls(**json.loads(text))
 
 
 def write_report(report: Report, path) -> None:

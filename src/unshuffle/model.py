@@ -20,14 +20,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .perms import (
-    BlockStructure,
-    Perm,
-    apply_perm,
-    check_perm,
-    coherent_block_permutation,
-    identity,
-)
+from .perms import BlockStructure, Perm, check_perm, coherent_block_table, identity
 
 
 class InfeasibleParamsError(ValueError):
@@ -130,16 +123,6 @@ class GroundTruth:
         ident = identity(self.blocks.block_count)
         return tuple(n for n, p in enumerate(self.column_perms) if p != ident)
 
-    def column_cbps(self) -> list:
-        """Per-column coherent block permutations on [0, L)."""
-        cache = {}
-        out = []
-        for sigma in self.column_perms:
-            if sigma not in cache:
-                cache[sigma] = coherent_block_permutation(sigma, self.blocks)
-            out.append(cache[sigma])
-        return out
-
 
 @dataclass(frozen=True)
 class ShuffledCorpus:
@@ -163,9 +146,6 @@ class ShuffledCorpus:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
-
-    def same_as(self, other: "ShuffledCorpus") -> bool:
-        return self.q == other.q and np.array_equal(self.values, other.values)
 
 
 def sample_ground_truth(params: ModelParams, rng: np.random.Generator) -> GroundTruth:
@@ -224,13 +204,8 @@ def generate_batch(params: ModelParams, trials: int,
     noise = np.concatenate(noise)
     templates = np.stack([t.template for t in truths])
     loci = np.array([t.noise_loci for t in truths], dtype=np.intp)
-    sigmas = sorted(params.perm_counts())
-    cbps = np.array([coherent_block_permutation(s, params.blocks) for s in sigmas],
-                    dtype=np.intp)
-    lookup = {s: i for i, s in enumerate(sigmas)}
-    perm_index = np.fromiter(
-        (lookup[p] for t in truths for p in t.column_perms), dtype=np.intp,
-        count=trials * n)
+    cbps, perm_index = coherent_block_table(
+        [p for t in truths for p in t.column_perms], params.blocks)
 
     total = params.blocks.total
     out = np.empty((trials * n, total), dtype=np.int64)
@@ -250,14 +225,3 @@ def generate(params: ModelParams, rng: Optional[np.random.Generator] = None):
     seeded from params.seed."""
     values, truths = generate_batch(params, 1, rng)
     return ShuffledCorpus(values=values[0], q=params.q), truths[0]
-
-
-def apply_unshuffle(corpus: ShuffledCorpus, perms) -> ShuffledCorpus:
-    """Permute each column independently: output column n is
-    apply_perm(perms[n], input column n)."""
-    if len(perms) != corpus.n_cols:
-        raise ValueError(f"{len(perms)} permutations for {corpus.n_cols} columns")
-    out = np.empty_like(corpus.values)
-    for n, p in enumerate(perms):
-        out[:, n] = apply_perm(p, corpus.values[:, n])
-    return ShuffledCorpus(values=out, q=corpus.q)

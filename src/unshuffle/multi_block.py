@@ -27,15 +27,10 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import distinct_counts
-from .perms import BlockStructure
 
 
 class AlignmentFailedError(RuntimeError):
     """Round-one alignment produced no conserved leading row."""
-
-
-class InconsistentResultError(RuntimeError):
-    """Recovered block lengths do not tile the record."""
 
 
 @dataclass(frozen=True)
@@ -238,13 +233,3 @@ def unshuffle_m(corpus: ShuffledCorpus,
                             aligned=ShuffledCorpus(values=working, q=corpus.q),
                             trace=tuple(trace), success=success,
                             failure_reason=reason)
-
-
-def recover_block_structure(result: MUnshuffleResult) -> BlockStructure:
-    """Block lengths of a successful run as a BlockStructure; the lengths
-    must tile the record."""
-    total = result.aligned.n_rows
-    if sum(result.lengths) != total:
-        raise InconsistentResultError(
-            f"recovered lengths sum to {sum(result.lengths)}, record is {total}")
-    return BlockStructure(result.lengths)

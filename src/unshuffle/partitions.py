@@ -13,27 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ShuffledCorpus
-from .perms import BlockStructure
-
-
-@dataclass(frozen=True)
-class RowPartition:
-    """Columns grouped by equal value at one row.
-
-    Parts are ordered by their smallest contained column index, so equal
-    partitions compare equal across runs.
-    """
-
-    parts: tuple    # tuple of tuples of column indices, each sorted
-    values: tuple   # value labelling each part
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
-
-    def as_sets(self) -> frozenset:
-        """Value-free view: the partition as a frozenset of frozensets."""
-        return frozenset(frozenset(p) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -43,18 +22,6 @@ class PartitionProfile:
     @property
     def max_size(self) -> int:
         return max(self.sizes)
-
-
-def row_partition(corpus: ShuffledCorpus, row: int) -> RowPartition:
-    """Group columns by their value at ``row`` (0-based)."""
-    if not 0 <= row < corpus.n_rows:
-        raise IndexError(f"row {row} outside [0, {corpus.n_rows})")
-    groups = {}
-    for col, value in enumerate(corpus.values[row].tolist()):
-        groups.setdefault(value, []).append(col)
-    items = sorted(groups.items(), key=lambda kv: kv[1][0])
-    return RowPartition(parts=tuple(tuple(cols) for _, cols in items),
-                        values=tuple(v for v, _ in items))
 
 
 def distinct_counts(values: np.ndarray) -> np.ndarray:
@@ -77,13 +44,6 @@ def partition_profile(corpus: ShuffledCorpus) -> PartitionProfile:
 def two_valued_rows(corpus: ShuffledCorpus) -> np.ndarray:
     """Indices, ascending, of the rows whose partition has exactly two parts."""
     return np.flatnonzero(distinct_counts(corpus.values) == 2)
-
-
-def distinct_subset_sums(blocks: BlockStructure):
-    """Whether all 2**M subset sums of the block lengths are distinct,
-    together with the sorted sums."""
-    sums = blocks.subset_sums()
-    return len(sums) == 2 ** blocks.block_count, sums
 
 
 def profile_to_csv(profile: PartitionProfile, path) -> None:

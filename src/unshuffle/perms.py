@@ -187,7 +187,15 @@ def all_perms(n: int):
     return (tuple(p) for p in itertools.permutations(range(n)))
 
 
-def all_coherent_block_permutations(blocks: BlockStructure):
-    """(sigma, coherent block permutation) pairs for every sigma."""
-    for sigma in all_perms(blocks.block_count):
-        yield sigma, coherent_block_permutation(sigma, blocks)
+def coherent_block_table(sigmas: Sequence[Sequence[int]], blocks: BlockStructure):
+    """The coherent block permutations of a sequence of block-level
+    permutations as one gather table: ``(table, index)`` with ``table`` an
+    (S, L) int array, one row per distinct sigma in order of first
+    appearance, and ``table[index[n]]`` the coherent block permutation of
+    ``sigmas[n]``."""
+    rows = {s: i for i, s in enumerate(dict.fromkeys(sigmas))}
+    index = np.fromiter(map(rows.__getitem__, sigmas), dtype=np.intp,
+                        count=len(sigmas))
+    table = np.array([coherent_block_permutation(s, blocks) for s in rows],
+                     dtype=np.intp).reshape(len(rows), blocks.total)
+    return table, index

@@ -20,9 +20,8 @@ batched, a chunk of about 2**12 symbols at a time.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -33,7 +32,7 @@ from .perms import identity
 
 
 def _qpow(q: float, exponent: float) -> float:
-    """q ** exponent in log space; 0.0 on underflow."""
+    """q ** exponent in log space: 0.0 on underflow, ``inf`` on overflow."""
     try:
         return math.exp(exponent * math.log(q))
     except OverflowError:
@@ -115,18 +114,6 @@ def prefix_partition_prob(q: int, k: int) -> tuple:
     return exact, math.exp(-k * k / (2.0 * q))
 
 
-def stirling2(r: int, s: int) -> int:
-    """Stirling number of the second kind via the standard recurrence."""
-    if r < 0 or s < 0:
-        raise ValueError("negative arguments")
-    if s > r:
-        return 0
-    row = [1] + [0] * s  # S(0, 0) = 1
-    for _ in range(r):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, s + 1)]
-    return row[s]
-
-
 @dataclass(frozen=True)
 class ProbReport:
     event: str
@@ -135,9 +122,6 @@ class ProbReport:
     mc_stderr: float
     trials: int
     agrees: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _report(event: str, closed: float, hits: int, trials: int) -> ProbReport:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import GroundTruth
 from .multi_block import MUnshuffleResult
-from .perms import compose
+from .perms import coherent_block_table
 from .two_block import TwoUnshuffleResult
 
 
@@ -54,15 +54,8 @@ def m_block_recovery(result: MUnshuffleResult, truth: GroundTruth) -> bool:
         return False
     if sorted(result.lengths) != sorted(truth.blocks.lengths):
         return False
-    frames = {compose(cbp, p)
-              for cbp, p in zip(truth.column_cbps(), result.column_perms)}
-    return len(frames) == 1
-
-
-def aligned_matches_template(result: MUnshuffleResult, truth: GroundTruth) -> bool:
-    """Noiseless sanity check: every aligned column equals the template up to
-    one common permutation."""
-    cols = result.aligned.values
-    if not np.all(cols == cols[:, :1]):
-        return False
-    return sorted(cols[:, 0].tolist()) == sorted(truth.template.tolist())
+    # Column n's frame is its true coherent block permutation composed with
+    # its recovered permutation: frame[n, a] = cbp_n[perm_n[a]].
+    table, index = coherent_block_table(truth.column_perms, truth.blocks)
+    frames = np.take_along_axis(table[index], np.array(result.column_perms), axis=1)
+    return bool(np.all(frames == frames[:1]))

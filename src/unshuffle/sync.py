@@ -2,9 +2,9 @@
 block-level permutation to each column so that the coherently repermuted
 columns agree as much as possible.
 
-Columns are embedded as real vectors; by default each symbol becomes a
-one-hot indicator over the alphabet, so inner products count positionwise
-symbol matches.  The objective is evaluated in two algebraically equal
+Columns are embedded as real vectors: each symbol becomes a one-hot
+indicator over the alphabet, so inner products count positionwise symbol
+matches.  The objective is evaluated in two algebraically equal
 forms (a pairwise inner-product sum and a trace of stacked operator
 products) and minimized by brute force on tiny instances.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,9 +31,10 @@ from .perms import (
     apply_perm,
     check_perm,
     coherent_block_permutation,
-    compose,
     invert,
 )
+
+SEARCH_CAP = 10 ** 6  # most assignments brute_force_sync will enumerate
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -46,7 +46,6 @@ class SyncInstance:
     columns: np.ndarray        # L x N symbol matrix
     q: int
     blocks: BlockStructure     # candidate block structure
-    one_hot: bool = True       # indicator embedding; False = raw symbol values
 
     @property
     def n_cols(self) -> int:
@@ -57,17 +56,9 @@ class SyncInstance:
         return self.columns.shape[0]
 
     def embed(self, column: np.ndarray) -> np.ndarray:
-        if not self.one_hot:
-            return column.astype(float)
         out = np.zeros(len(column) * self.q)
         out[np.arange(len(column)) * self.q + column] = 1.0
         return out
-
-
-def instance_from_corpus(corpus: ShuffledCorpus, blocks: BlockStructure,
-                         one_hot: bool = True) -> SyncInstance:
-    return SyncInstance(columns=corpus.values, q=corpus.q, blocks=blocks,
-                        one_hot=one_hot)
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ def objective_pairwise(assignment: PotentialAssignment,
                        instance: SyncInstance) -> float:
     """Minus the sum over all column pairs (including self-pairs) of inner
     products of the realigned embedded columns."""
-    total = np.zeros(instance.length * (instance.q if instance.one_hot else 1))
+    total = np.zeros(instance.length * instance.q)
     for col in _realigned(instance, assignment):
         total += instance.embed(col)
     return -float(total @ total)
@@ -110,8 +101,6 @@ def _perm_matrix(p: Perm) -> np.ndarray:
 
 def _lift(p: Perm, width: int) -> Perm:
     """A permutation of positions lifted to the embedded coordinates."""
-    if width == 1:
-        return p
     return tuple(p[a] * width + i for a in range(len(p)) for i in range(width))
 
 
@@ -119,12 +108,11 @@ def objective_trace(assignment: PotentialAssignment,
                     instance: SyncInstance) -> float:
     """Same value as :func:`objective_pairwise`, computed as minus the trace
     of the stacked operator product against the stacked data Gram matrix."""
-    width = instance.q if instance.one_hot else 1
     mats = []
     ys = []
     for j, sigma in enumerate(assignment.sigmas):
         cbp = coherent_block_permutation(sigma, instance.blocks)
-        mats.append(_perm_matrix(_lift(cbp, width)))
+        mats.append(_perm_matrix(_lift(cbp, instance.q)))
         ys.append(instance.embed(instance.columns[:, j]))
     # R stacks rho(g_j)^T vertically; the objective is -Tr(R R^T y y^T).
     stack = np.vstack([m.T for m in mats])
@@ -132,29 +120,19 @@ def objective_trace(assignment: PotentialAssignment,
     return -float(np.trace(stack @ stack.T @ np.outer(y, y)))
 
 
-def relabel(assignment: PotentialAssignment, gauge: Perm) -> PotentialAssignment:
-    """Gauge change at the block level: every sigma right-multiplied by a
-    fixed permutation of the blocks (exact invariance for uniform block
-    lengths; see :func:`objective_with_global_relabel` for the general one)."""
-    return PotentialAssignment(tuple(compose(s, gauge) for s in assignment.sigmas))
-
-
 def objective_with_global_relabel(assignment: PotentialAssignment,
                                   instance: SyncInstance, gauge: Perm) -> float:
     """The pairwise objective with a fixed extra permutation of [0, L)
     applied after every column's realignment; equal to the plain objective
     for every gauge (the sum of embedded columns is just repermuted)."""
-    width = instance.q if instance.one_hot else 1
-    lifted = _lift(check_perm(gauge), width)
-    total = np.zeros(instance.length * width)
+    lifted = _lift(check_perm(gauge), instance.q)
+    total = np.zeros(instance.length * instance.q)
     for col in _realigned(instance, assignment):
         total += apply_perm(lifted, np.asarray(instance.embed(col)))
     return -float(total @ total)
 
 
-def brute_force_sync(instance: SyncInstance,
-                     blocks: Optional[BlockStructure] = None,
-                     search_cap: int = 10 ** 6) -> PotentialAssignment:
+def brute_force_sync(instance: SyncInstance) -> PotentialAssignment:
     """Exhaustive minimization over per-column block permutations.  Ties
     resolve to the lexicographically smallest assignment.
 
@@ -162,16 +140,11 @@ def brute_force_sync(instance: SyncInstance,
     non-uniform block lengths the objective's gauge freedom lives at the
     position level, not the block level, so pinning a column can exclude
     every perfectly synchronized assignment."""
-    if blocks is None:
-        blocks = instance.blocks
-    else:
-        instance = SyncInstance(columns=instance.columns, q=instance.q,
-                                blocks=blocks, one_hot=instance.one_hot)
-    m = blocks.block_count
+    m = instance.blocks.block_count
     n = instance.n_cols
-    if math.factorial(m) ** n > search_cap:
+    if math.factorial(m) ** n > SEARCH_CAP:
         raise SearchSpaceTooLargeError(
-            f"{math.factorial(m) ** n} assignments exceed cap {search_cap}")
+            f"{math.factorial(m) ** n} assignments exceed cap {SEARCH_CAP}")
     candidates = list(all_perms(m))
     best = None
     best_value = None
@@ -185,8 +158,7 @@ def brute_force_sync(instance: SyncInstance,
 
 def sample_sync_instance(blocks: BlockStructure, q: int, n_cols: int,
                          rng: np.random.Generator,
-                         noise_fraction: float = 0.0,
-                         one_hot: bool = True):
+                         noise_fraction: float = 0.0):
     """Draw a synchronization instance: template, per-column block orders,
     columns shuffled by the inverse coherent block permutations.  Returns
     (instance, template, true sigmas)."""
@@ -203,7 +175,7 @@ def sample_sync_instance(blocks: BlockStructure, q: int, n_cols: int,
             noisy[loci] = (noisy[loci] + rng.integers(0, q, size=int(loci.sum()))) % q
         cbp = coherent_block_permutation(sigma, blocks)
         cols[:, j] = apply_perm(invert(cbp), noisy)
-    instance = SyncInstance(columns=cols, q=q, blocks=blocks, one_hot=one_hot)
+    instance = SyncInstance(columns=cols, q=q, blocks=blocks)
     return instance, template, tuple(sigmas)
 
 

@@ -9,3 +9,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def row_partition(row):
+    """Oracle: the columns grouped by their value in one corpus row, each
+    part a tuple of column indices, parts ordered by their first column."""
+    groups = {}
+    for col, value in enumerate(row.tolist()):
+        groups.setdefault(value, []).append(col)
+    return tuple(tuple(cols) for cols in groups.values())

@@ -97,7 +97,14 @@ def test_sync_demo():
 def test_usage_errors(tmp_path, capsys):
     assert run("bogus-command") == 2
     assert run("unshuffle2", tmp_path / "missing.bin", "--record-len", 10) == 2
+    capsys.readouterr()
     assert run("gen", "--q", 3, "--lengths", "4,6", "--n", 10) == 2  # no --out
+    assert capsys.readouterr().err.strip() == "gen: --out is required"
+    # only the commands that write a corpus or profile take --out
+    assert run("verify-prob", "p_n", "--q", 3, "--lengths", "4,6", "--n", 20,
+               "--nu", 0.3, "--out", tmp_path / "x") == 2
+    assert run("sync-demo", "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes([1, 2, 3]))
     assert run("unshuffle", bad, "--record-len", 2) == 2
@@ -108,6 +115,26 @@ def test_usage_errors(tmp_path, capsys):
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--weight-base", 2) == 2
+    # A truth sidecar must be a sidecar document that covers the corpus.
+    doc = json.loads((tmp_path / "m.bin.truth.json").read_text())
+    short = dict(doc, column_perms=doc["column_perms"][:2])
+    longer = dict(doc, block_lengths=[2, 4], template=doc["template"] + [0])
+    for sidecar, message in [({}, "malformed truth sidecar"),
+                             ([], "malformed truth sidecar"),
+                             (dict(doc, template=[1]), "do not fit block lengths"),
+                             (dict(doc, noise_loci=[6]), "do not fit block lengths"),
+                             (dict(doc, column_perms=[[1, 2, 3]] * 4),
+                              "do not fit block lengths"),
+                             (short, "describes 2 records of length 5, "
+                                     "corpus has 4 of length 5"),
+                             (longer, "describes 4 records of length 6, "
+                                      "corpus has 4 of length 5")]:
+        truth = tmp_path / "bad.truth.json"
+        truth.write_text(json.dumps(sidecar))
+        for command in ("unshuffle", "unshuffle2"):
+            capsys.readouterr()
+            assert run(command, corpus, "--record-len", 5, "--truth", truth) == 2
+            assert message in capsys.readouterr().err
     # sync-demo checks q and n with gen's messages.
     for flags, message in [(("--q", 0), "alphabet size must be >= 2, got 0"),
                            (("--q", 1), "alphabet size must be >= 2, got 1"),

@@ -1,0 +1,30 @@
+"""Guard against regrowth: every name the package exports has a caller in
+the library itself or in the acceptance criteria, not only in unit tests."""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "unshuffle"
+
+
+def loaded_names(path):
+    """(enclosing top-level definition or None, name) for every name and
+    attribute a module reads; imports alone do not count."""
+    for stmt in ast.parse(path.read_text()).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+
+
+def test_every_export_has_a_caller():
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {name for path in SRC.glob("*.py") if path.name != "__init__.py"
+            for owner, name in loaded_names(path) if owner != name}
+    used |= {name for _, name in loaded_names(TESTS / "test_acceptance.py")}
+    assert sorted(exported - used) == []

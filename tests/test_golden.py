@@ -139,6 +139,14 @@ def distinguished_prefix_outputs(tmp_path, seed):
             "truth": digest(truth.read_bytes())}
 
 
+def sync_demo_outputs(tmp_path, seed):
+    """``sync-demo`` at its default instance; the report holds no paths, so
+    its bytes are hashed whole."""
+    report = tmp_path / "sync.json"
+    code = run("--seed", seed, "sync-demo", "--json-report", report)
+    return {"sync_demo": digest(report.read_bytes()), "sync_demo_exit": code}
+
+
 CASES = {
     "two_block_seed1": (two_block_outputs, (1, 3, "40,60", 80, 0.5, 0.3)),
     "two_block_seed2": (two_block_outputs, (2, 4, "30,50", 120, 0.5, 0.4)),
@@ -156,6 +164,7 @@ CASES = {
     "verify_l1_exact": (verify_prob_outputs, (7, "l1_exact", MC_TWO_BLOCK, 1000)),
     "verify_prefix": (verify_prob_outputs, (7, "prefix_partition", MC_PREFIX, 1000)),
     "distinguished_prefix": (distinguished_prefix_outputs, (8,)),
+    "sync_demo_seed5": (sync_demo_outputs, (5,)),
 }
 
 GOLDEN = {
@@ -241,6 +250,10 @@ GOLDEN = {
     "distinguished_prefix": {
         "corpus": "e4a45460e0551a9b",
         "truth": "58a7d0b6ab165760",
+    },
+    "sync_demo_seed5": {
+        "sync_demo": "9287be2249d09dae",
+        "sync_demo_exit": 0,
     },
 }
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unshuffle.model import ModelParams, ShuffledCorpus, generate
+from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
 from unshuffle.multi_block import (
     AlignConfig,
-    InconsistentResultError,
+    MUnshuffleResult,
     _modal_rows,
     detect_block_boundary,
     lex_best_shifts,
-    recover_block_structure,
     unshuffle_m,
     weighted_shift_align,
 )
@@ -22,9 +21,10 @@ from unshuffle.perms import (
     apply_perm,
     coherent_block_permutation,
     compose,
+    invert,
     is_perm,
 )
-from unshuffle.scoring import aligned_matches_template, m_block_recovery
+from unshuffle.scoring import m_block_recovery
 
 
 def all_cbp_corpus(lengths, q, template=None):
@@ -210,22 +210,57 @@ def test_trace_records_rounds():
     assert all(set(d) == {"start_row", "shifts", "boundary"} for d in as_dict)
 
 
-def test_recover_block_structure():
-    c, _, _ = all_cbp_corpus((2, 3, 4), q=17)
-    result = unshuffle_m(c)
-    assert recover_block_structure(result).lengths == result.lengths
-    from unshuffle.multi_block import MUnshuffleResult
-    broken = MUnshuffleResult(block_count=1, lengths=(3,),
-                              column_perms=result.column_perms,
-                              aligned=result.aligned, trace=result.trace,
-                              success=False, failure_reason="x")
-    with pytest.raises(InconsistentResultError):
-        recover_block_structure(broken)
+def m_block_recovery_oracle(result, truth):
+    """The tuple check that the gather in ``m_block_recovery`` replaced: one
+    compose per column, the frames collected in a set."""
+    if not result.success:
+        return False
+    if result.block_count != truth.blocks.block_count:
+        return False
+    if sorted(result.lengths) != sorted(truth.blocks.lengths):
+        return False
+    frames = {compose(coherent_block_permutation(sigma, truth.blocks), p)
+              for sigma, p in zip(truth.column_perms, result.column_perms)}
+    return len(frames) == 1
 
 
-def test_aligned_matches_template_helper():
-    params = ModelParams(q=23, blocks=BlockStructure((3, 5)), num_messages=6,
-                         noise_fraction=0.0, shuffle=0.5, seed=2)
-    corpus, truth = generate(params)
-    result = unshuffle_m(corpus)
-    assert aligned_matches_template(result, truth)
+@st.composite
+def recovery_cases(draw):
+    """A ground truth and a result whose columns all land in one common
+    frame; then possibly one column moved to a random permutation, the
+    lengths replaced by a random composition of L, or a failed run.
+    Returns (result, truth, untouched)."""
+    m = draw(st.integers(1, 4))
+    blocks = BlockStructure(draw(st.tuples(*[st.integers(1, 5)] * m)))
+    total = blocks.total
+    n_cols = draw(st.integers(1, 8))
+    sigmas = tuple(draw(st.sampled_from(list(all_perms(m)))) for _ in range(n_cols))
+    frame = draw(st.permutations(range(total)))
+    perms = [compose(invert(coherent_block_permutation(s, blocks)), frame)
+             for s in sigmas]
+    lengths = tuple(draw(st.permutations(blocks.lengths)))
+    off_frame, other_lengths, failed = draw(st.tuples(*[st.booleans()] * 3))
+    if off_frame:
+        perms[draw(st.integers(0, n_cols - 1))] = tuple(
+            draw(st.permutations(range(total))))
+    if other_lengths:
+        inner = draw(st.sets(st.integers(1, total - 1))) if total > 1 else ()
+        cuts = [0, *sorted(inner), total]
+        lengths = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+    result = MUnshuffleResult(
+        block_count=len(lengths), lengths=lengths, column_perms=tuple(perms),
+        aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
+        trace=(), success=not failed)
+    truth = GroundTruth(template=np.zeros(total, dtype=np.int64), noise_loci=(),
+                        column_perms=sigmas, blocks=blocks)
+    return result, truth, not (off_frame or other_lengths or failed)
+
+
+@settings(deadline=None, max_examples=300)
+@given(recovery_cases())
+def test_m_block_recovery_matches_compose_oracle(case):
+    result, truth, untouched = case
+    expected = m_block_recovery_oracle(result, truth)
+    assert m_block_recovery(result, truth) is expected
+    if untouched:
+        assert expected

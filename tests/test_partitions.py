@@ -1,22 +1,20 @@
-"""Row-induced partitions and subset-sum diagnostics."""
+"""Row-induced partitions: their sizes, the CSV profile, and the partition
+oracle the tests share."""
 
 import csv
 
 import numpy as np
-import pytest
+from conftest import row_partition
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unshuffle.model import ShuffledCorpus
 from unshuffle.partitions import (
     distinct_counts,
-    distinct_subset_sums,
     partition_profile,
     profile_to_csv,
-    row_partition,
     two_valued_rows,
 )
-from unshuffle.perms import BlockStructure
 
 
 def corpus(rows, q=10):
@@ -24,27 +22,13 @@ def corpus(rows, q=10):
 
 
 def test_row_partition_by_hand():
-    c = corpus([[1, 2, 1, 2, 3]])
-    part = row_partition(c, 0)
-    assert part.parts == ((0, 2), (1, 3), (4,))
-    assert part.values == (1, 2, 3)
-    assert part.size == 3
-    assert part.as_sets() == frozenset({frozenset({0, 2}), frozenset({1, 3}),
-                                        frozenset({4})})
+    part = row_partition(np.array([1, 2, 1, 2, 3]))
+    assert part == ((0, 2), (1, 3), (4,))
 
 
 def test_row_partition_ordering_is_stable():
     # parts ordered by smallest member, not by value
-    c = corpus([[9, 0, 9, 0]])
-    part = row_partition(c, 0)
-    assert part.parts == ((0, 2), (1, 3))
-    assert part.values == (9, 0)
-
-
-def test_row_partition_bounds():
-    c = corpus([[1, 2]])
-    with pytest.raises(IndexError):
-        row_partition(c, 1)
+    assert row_partition(np.array([9, 0, 9, 0])) == ((0, 2), (1, 3))
 
 
 def test_partition_profile():
@@ -78,15 +62,6 @@ def test_two_valued_rows():
                 [1, 2, 1],
                 [1, 2, 3]])
     assert two_valued_rows(c).tolist() == [1]
-
-
-def test_distinct_subset_sums():
-    ok, sums = distinct_subset_sums(BlockStructure((3, 5, 6, 7)))
-    assert ok and len(sums) == 16
-    ok, sums = distinct_subset_sums(BlockStructure((1, 1)))
-    assert not ok and sums == (0, 1, 2)
-    ok, sums = distinct_subset_sums(BlockStructure((1, 2, 4)))
-    assert ok and sums == tuple(range(8))
 
 
 def test_profile_to_csv(tmp_path):

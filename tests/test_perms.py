@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 from unshuffle.perms import (
     BlockStructure,
     SizeMismatchError,
-    all_coherent_block_permutations,
     all_perms,
     apply_perm,
     block_permutation,
     check_perm,
     coherent_block_permutation,
+    coherent_block_table,
     compose,
     from_one_line,
     identity,
@@ -181,11 +181,16 @@ def test_inverse_identities_property_suite():
                     invert(block_permutation(sinv, blocks))
 
 
-def test_all_coherent_block_permutations_count():
+def test_coherent_block_table():
     blocks = BlockStructure((2, 3, 4))
-    cbps = dict(all_coherent_block_permutations(blocks))
-    assert len(cbps) == 6
-    assert cbps[identity(3)] == identity(9)
+    sigmas = [(2, 0, 1), identity(3), (2, 0, 1)] + list(all_perms(3))
+    table, index = coherent_block_table(sigmas, blocks)
+    # one row per distinct sigma, in order of first appearance
+    assert table.shape == (6, 9)
+    assert index.tolist() == [0, 1, 0, 1, 2, 3, 4, 0, 5]
+    assert tuple(table[1].tolist()) == identity(9)
+    for sigma, row in zip(sigmas, index):
+        assert tuple(table[row].tolist()) == coherent_block_permutation(sigma, blocks)
 
 
 def test_subset_sums():

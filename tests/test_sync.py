@@ -9,26 +9,32 @@ from unshuffle.perms import (
     all_perms,
     apply_perm,
     coherent_block_permutation,
+    coherent_block_table,
+    compose,
     identity,
     invert,
     random_perm,
 )
 from unshuffle.sync import (
+    SEARCH_CAP,
     PotentialAssignment,
     SearchSpaceTooLargeError,
     SyncInstance,
     brute_force_sync,
-    instance_from_corpus,
     objective_pairwise,
     objective_trace,
     objective_with_global_relabel,
     realigned_corpus,
-    relabel,
     sample_sync_instance,
 )
 
 
-def random_instance(rng, m=3, one_hot=True, uniform_lengths=False):
+def relabel(assignment, gauge):
+    """Every sigma right-multiplied by one fixed permutation of the blocks."""
+    return PotentialAssignment(tuple(compose(s, gauge) for s in assignment.sigmas))
+
+
+def random_instance(rng, m=3, uniform_lengths=False):
     if uniform_lengths:
         lengths = tuple([int(rng.integers(1, 4))] * m)
     else:
@@ -37,7 +43,7 @@ def random_instance(rng, m=3, one_hot=True, uniform_lengths=False):
     n_cols = int(rng.integers(2, 5))
     q = 5
     cols = rng.integers(0, q, size=(blocks.total, n_cols), dtype=np.int64)
-    instance = SyncInstance(columns=cols, q=q, blocks=blocks, one_hot=one_hot)
+    instance = SyncInstance(columns=cols, q=q, blocks=blocks)
     assignment = PotentialAssignment(
         tuple(random_perm(m, rng) for _ in range(n_cols)))
     return instance, assignment
@@ -129,8 +135,9 @@ def test_brute_force_cap():
     cols = rng.integers(0, 4, size=(12, 9), dtype=np.int64)
     instance = SyncInstance(columns=cols, q=4,
                             blocks=BlockStructure((4, 4, 4)))
+    assert 6 ** 9 > SEARCH_CAP
     with pytest.raises(SearchSpaceTooLargeError):
-        brute_force_sync(instance, search_cap=100)
+        brute_force_sync(instance)
 
 
 def test_cross_check_with_two_block_solver():
@@ -145,9 +152,9 @@ def test_cross_check_with_two_block_solver():
     # shuffle convention differs: hand the sync solver columns it can undo
     # by applying a coherent block permutation directly
     inv_cols = np.empty_like(corpus.values)
-    for j, cbp in enumerate(truth.column_cbps()):
-        template_like = apply_perm(invert(cbp), corpus.values[:, j])
-        inv_cols[:, j] = template_like
+    table, index = coherent_block_table(truth.column_perms, truth.blocks)
+    for j, cbp in enumerate(table[index]):
+        inv_cols[:, j] = apply_perm(invert(cbp), corpus.values[:, j])
     assert np.all(inv_cols == inv_cols[:, :1])  # sanity: noiseless
 
     rng = make_rng(6)
@@ -164,7 +171,8 @@ def test_instance_from_corpus_and_assignment_validation():
     params = ModelParams(q=5, blocks=BlockStructure((2, 3)), num_messages=3,
                          noise_fraction=0.0, shuffle=0.4, seed=1)
     corpus, _ = generate(params)
-    instance = instance_from_corpus(corpus, BlockStructure((2, 3)))
+    instance = SyncInstance(columns=corpus.values, q=corpus.q,
+                            blocks=BlockStructure((2, 3)))
     assert instance.n_cols == 3 and instance.length == 5
     with pytest.raises(ValueError):
         PotentialAssignment(((0, 0),))
@@ -176,6 +184,3 @@ def test_embeddings():
     instance = SyncInstance(columns=np.array([[1], [0]]), q=3,
                             blocks=BlockStructure((1, 1)))
     assert instance.embed(np.array([1, 0])).tolist() == [0, 1, 0, 1, 0, 0]
-    raw = SyncInstance(columns=np.array([[1], [0]]), q=3,
-                       blocks=BlockStructure((1, 1)), one_hot=False)
-    assert raw.embed(np.array([1, 0])).tolist() == [1.0, 0.0]
