@@ -19,7 +19,6 @@ from .model import (
     ShuffledCorpus,
     generate,
     make_rng,
-    sample_ground_truth,
 )
 from .partitions import (
     PartitionProfile,

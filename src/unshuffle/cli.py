@@ -212,6 +212,7 @@ def _cmd_unshuffle2(args) -> int:
     diagnostics = {}
     if truth is not None:
         diagnostics["recovered"] = bool(two_block_recovery(result, truth))
+    success = diagnostics.get("recovered", True)
     report = Report(
         command="unshuffle2",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
@@ -219,12 +220,11 @@ def _cmd_unshuffle2(args) -> int:
                 "first_block_len": result.first_block_len,
                 "score": result.score},
         diagnostics=diagnostics,
+        success=success,
         seed=args.seed,
     )
     _emit(report, args)
-    if diagnostics.get("recovered") is False:
-        return EXIT_SOLVER_FAILURE
-    return EXIT_OK
+    return EXIT_OK if success else EXIT_SOLVER_FAILURE
 
 
 def _cmd_unshuffle(args) -> int:

@@ -5,11 +5,15 @@ random template of length L, with a fixed random subset of positions
 ("noise loci") resampled independently per message, and each message's
 blocks rearranged by a per-message coherent block permutation.
 
-RNG stream order is part of the contract (template, then noise loci, then
-per-column permutations, then noise values column by column), so identical
-seed and parameters give bit-identical output.  A batch of corpora draws
-trial after trial in exactly that order; only the assembly of the drawn
-values into columns is batched across trials.
+The RNG contract is the per-trial call order: the template (then, with a
+distinguished prefix, its block-start values until they are distinct), the
+noise loci (``choice``), the column order (``permutation``), then the noise
+values column by column.  Identical seed and parameters give bit-identical
+output.  A zero-size draw consumes no randomness, so a model without noise
+loci makes neither noise call.  A batch of corpora draws trial after trial
+in exactly that order; the per-parameter set-up (:class:`Sampler`) is built
+once, and the assembly of the drawn values into columns is batched across
+trials.
 """
 
 from __future__ import annotations
@@ -148,80 +152,119 @@ class ShuffledCorpus:
         return self.values.shape[1]
 
 
-def sample_ground_truth(params: ModelParams, rng: np.random.Generator) -> GroundTruth:
-    blocks = params.blocks
-    total = blocks.total
-    template = rng.integers(0, params.q, size=total, dtype=np.int64)
-    starts = np.array(blocks.block_starts)
-    if params.distinguished_prefix:
-        # Resample the block-start values until they are pairwise distinct.
-        while len(set(template[starts].tolist())) < blocks.block_count:
-            template[starts] = rng.integers(0, params.q, size=len(starts), dtype=np.int64)
+class Sampler:
+    """The generator's per-parameter set-up, built once and reused by every
+    trial drawn from it: the block starts, the positions allowed to be noise
+    loci, the distinct block-level permutations in sorted order
+    (``sigmas``), the column pool as an index into them (``pool``: each
+    sigma's index repeated by its column count), and their (S, L) coherent
+    block permutation gather table (``table[i]`` belongs to ``sigmas[i]``)."""
 
-    if params.restricted_prefix or params.distinguished_prefix:
-        allowed = np.setdiff1d(np.arange(total), starts)
-    else:
-        allowed = np.arange(total)
-    k = params.noise_count
-    if k > len(allowed):
-        raise InfeasibleParamsError(
-            f"{k} noise loci requested but only {len(allowed)} positions allowed")
-    loci = tuple(sorted(int(x) for x in rng.choice(allowed, size=k, replace=False)))
+    def __init__(self, params: ModelParams):
+        blocks = params.blocks
+        self.params = params
+        self.starts = np.array(blocks.block_starts)
+        if params.restricted_prefix or params.distinguished_prefix:
+            self.allowed = np.setdiff1d(np.arange(blocks.total), self.starts)
+        else:
+            self.allowed = np.arange(blocks.total)
+        k = params.noise_count
+        if k > len(self.allowed):
+            raise InfeasibleParamsError(
+                f"{k} noise loci requested but only {len(self.allowed)} positions allowed")
+        counts = sorted(params.perm_counts().items())
+        self.sigmas = tuple(sigma for sigma, _ in counts)
+        self.pool = np.repeat(np.arange(len(counts)), [count for _, count in counts])
+        self.table, _ = coherent_block_table(self.sigmas, blocks)
 
-    pool = []
-    for sigma, count in sorted(params.perm_counts().items()):
-        pool.extend([sigma] * count)
-    order = rng.permutation(params.num_messages)
-    column_perms = tuple(pool[i] for i in order)
-    return GroundTruth(template=template, noise_loci=loci,
-                       column_perms=column_perms, blocks=blocks)
+    def batch(self, trials: int, rng: np.random.Generator) -> "Batch":
+        """Draw ``trials`` corpora from ``rng``, the same stream as
+        ``trials`` successive :func:`generate` calls.
+
+        Each trial makes its RNG calls in the contract's order: the
+        template, the distinguished-prefix resampling, the noise loci
+        (``choice``), the column order (``permutation``), then the (N, k)
+        noise values.  A zero-size draw consumes no randomness, so with no
+        noise loci neither noise call is made.  The rest is whole-array
+        work over the batch: the loci are sorted, the column order is
+        mapped through the pool, and the columns of all trials, lying on
+        one flat axis, are assembled about 2**16 entries at a time
+        (template, plus noise mod q at the trial's loci, gathered through
+        the column's coherent block permutation), so the temporaries stay
+        small however large the batch."""
+        params = self.params
+        q, n, total, k = params.q, params.num_messages, params.blocks.total, params.noise_count
+        starts, allowed = self.starts, self.allowed
+        templates = np.empty((trials, total), dtype=np.int64)
+        loci = np.empty((trials, k), dtype=np.intp)
+        orders = np.empty((trials, n), dtype=np.intp)
+        noise = []
+        for t in range(trials):
+            template = rng.integers(0, q, size=total, dtype=np.int64)
+            if params.distinguished_prefix:
+                # Resample the block-start values until they are pairwise distinct.
+                while len(set(template[starts].tolist())) < len(starts):
+                    template[starts] = rng.integers(0, q, size=len(starts), dtype=np.int64)
+            templates[t] = template
+            if k:
+                loci[t] = rng.choice(allowed, size=k, replace=False)
+            orders[t] = rng.permutation(n)
+            if k:
+                noise.append(rng.integers(0, q, size=(n, k), dtype=np.int64))
+        loci.sort(axis=1)
+        perm_index = self.pool[orders]
+
+        out = np.empty((trials * n, total), dtype=np.int64)
+        flat_index = perm_index.ravel()
+        if k:
+            # One trial's noise is used as drawn: a copy would double the
+            # peak memory of a large corpus.
+            noise = noise[0] if trials == 1 else np.concatenate(noise)
+        step = max(1, 2 ** 16 // total)
+        for start in range(0, trials * n, step):
+            stop = min(start + step, trials * n)
+            trial = np.arange(start, stop) // n
+            cols = templates[trial]
+            if k:
+                at = (np.arange(stop - start)[:, None], loci[trial])
+                cols[at] = (cols[at] + noise[start:stop]) % q
+            out[start:stop] = np.take_along_axis(cols, self.table[flat_index[start:stop]],
+                                                 axis=1)
+        return Batch(values=out.reshape(trials, n, total).transpose(0, 2, 1),
+                     templates=templates, loci=loci, perm_index=perm_index,
+                     sigmas=self.sigmas, blocks=params.blocks)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Corpora drawn in one batch and what the generator drew for each, as
+    arrays indexed by trial."""
+
+    values: np.ndarray      # (T, L, N); values[t] is trial t's corpus, stored column by column
+    templates: np.ndarray   # (T, L)
+    loci: np.ndarray        # (T, k) noise loci, each row sorted
+    perm_index: np.ndarray  # (T, N); column n of trial t is permuted by sigmas[perm_index[t, n]]
+    sigmas: tuple           # distinct block-level permutations, sorted
+    blocks: BlockStructure
+
+    def truth(self, t: int) -> GroundTruth:
+        sigmas = self.sigmas
+        return GroundTruth(template=self.templates[t],
+                           noise_loci=tuple(self.loci[t].tolist()),
+                           column_perms=tuple(sigmas[i] for i in self.perm_index[t].tolist()),
+                           blocks=self.blocks)
 
 
 def generate_batch(params: ModelParams, trials: int,
-                   rng: Optional[np.random.Generator] = None):
-    """Draw ``trials`` (corpus, ground truth) pairs from one stream, the same
-    stream as ``trials`` successive :func:`generate` calls.
-
-    The draws stay per trial, in stream order: the ground truth, then the
-    noise values column by column, each column's loci in sorted order.  Only
-    the assembly is batched: the columns of all trials lie on one flat axis
-    and are built about 2**16 entries at a time (template, plus noise mod q
-    at the trial's loci, gathered through the column's coherent block
-    permutation), so the temporaries stay small however large the batch.
-
-    Returns ``(values, truths)``: ``values[t]`` is the L x N corpus of trial
-    ``t``, stored column by column (the record layout of a corpus file).
-    """
-    if rng is None:
-        rng = make_rng(params.seed)
-    n = params.num_messages
-    truths, noise = [], []
-    for _ in range(trials):
-        truth = sample_ground_truth(params, rng)
-        noise.append(rng.integers(0, params.q, size=(n, len(truth.noise_loci)),
-                                  dtype=np.int64))
-        truths.append(truth)
-    noise = np.concatenate(noise)
-    templates = np.stack([t.template for t in truths])
-    loci = np.array([t.noise_loci for t in truths], dtype=np.intp)
-    cbps, perm_index = coherent_block_table(
-        [p for t in truths for p in t.column_perms], params.blocks)
-
-    total = params.blocks.total
-    out = np.empty((trials * n, total), dtype=np.int64)
-    step = max(1, 2 ** 16 // total)
-    for start in range(0, trials * n, step):
-        stop = min(start + step, trials * n)
-        trial = np.arange(start, stop) // n
-        cols = templates[trial]
-        at = (np.arange(stop - start)[:, None], loci[trial])
-        cols[at] = (cols[at] + noise[start:stop]) % params.q
-        out[start:stop] = np.take_along_axis(cols, cbps[perm_index[start:stop]], axis=1)
-    return out.reshape(trials, n, total).transpose(0, 2, 1), truths
+                   rng: Optional[np.random.Generator] = None) -> Batch:
+    """Draw ``trials`` corpora from one stream, the same stream as ``trials``
+    successive :func:`generate` calls.  With rng=None, a fresh generator is
+    seeded from params.seed."""
+    return Sampler(params).batch(trials, make_rng(params.seed) if rng is None else rng)
 
 
 def generate(params: ModelParams, rng: Optional[np.random.Generator] = None):
     """Draw (corpus, ground truth).  With rng=None, a fresh generator is
     seeded from params.seed."""
-    values, truths = generate_batch(params, 1, rng)
-    return ShuffledCorpus(values=values[0], q=params.q), truths[0]
+    batch = generate_batch(params, 1, rng)
+    return ShuffledCorpus(values=batch.values[0], q=params.q), batch.truth(0)

@@ -61,7 +61,7 @@ class RoundTrace:
 class MUnshuffleResult:
     block_count: int
     lengths: tuple               # recovered block lengths, reference-column order
-    column_perms: tuple          # per-column Perm on [0, L)
+    column_perms: np.ndarray     # (N, L); row n is column n's permutation of [0, L)
     aligned: ShuffledCorpus
     trace: tuple                 # RoundTrace per round
     success: bool
@@ -184,7 +184,7 @@ def unshuffle_m(corpus: ShuffledCorpus,
     """Iterate align + truncate until the rows are exhausted.  Each round
     rotates the row suffix of every column; the rotations accumulate in one
     (L, N) index array whose column k is column k's permutation of the full
-    record."""
+    record; the result's ``column_perms`` is its (N, L) transposed view."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
     working = corpus.values.copy()
@@ -227,9 +227,8 @@ def unshuffle_m(corpus: ShuffledCorpus,
             continue
         lengths.append(boundary)
         start += boundary
-    column_perms = tuple(tuple(index[:, k].tolist()) for k in range(n_cols))
     return MUnshuffleResult(block_count=len(lengths), lengths=tuple(lengths),
-                            column_perms=column_perms,
+                            column_perms=index.T,
                             aligned=ShuffledCorpus(values=working, q=corpus.q),
                             trace=tuple(trace), success=success,
                             failure_reason=reason)

@@ -13,9 +13,12 @@ for those events simulates exactly that single-row experiment.  (A fixed
 noise-locus count of ceil(lambda * L) introduces an O(1/L) dependence
 between the two memberships that the formulas ignore.)  The conserved-row
 and prefix events are simulated on full generated corpora, where the
-formulas are exact.  Those corpora are drawn trial by trial in the
-generator's stream order; only their assembly and the event test are
-batched, a chunk of about 2**12 symbols at a time.
+formulas are exact.  Each Monte Carlo run sets the model up once (a
+``model.Sampler``) and draws its corpora from it trial by trial, making the
+generator's per-trial RNG calls in the contract's order (a model without
+noise loci makes no loci or noise call).  The draws come back as arrays;
+their assembly and the event test are batched, a chunk of about 2**12
+symbols at a time, and no per-trial ground truth is built.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import ModelParams, generate_batch, make_rng
+from .model import ModelParams, Sampler, make_rng
 from .partitions import distinct_counts
 from .perms import identity
 
@@ -114,6 +117,44 @@ def prefix_partition_prob(q: int, k: int) -> tuple:
     return exact, math.exp(-k * k / (2.0 * q))
 
 
+def prefix_partition_closed(params: ModelParams) -> float:
+    """Exact probability that row 0 splits the columns as their first blocks
+    do, in the model ``params`` describes.
+
+    Let r be the number of distinct first blocks, c_m the number of columns
+    that start with block m, and k the number of noise loci.  With a
+    distinguished prefix the event is certain; with a restricted prefix the
+    r start values are independent and uniform, so it is the birthday
+    product B(q, r).  Otherwise a start that is a noise locus must give all
+    of its c_m columns one common value (probability q**(1 - c_m)), and the
+    k loci meet a given set S of the r starts with the hypergeometric
+    probability C(L - r, k - |S|) / C(L, k):
+
+        B(q, r) * sum_S C(L - r, k - |S|) / C(L, k) * prod_{m in S} q**(1 - c_m).
+
+    The sum over S runs by |S| through the elementary symmetric polynomials
+    of the q**(1 - c_m); with no noise loci it is exactly 1."""
+    columns = {}
+    for sigma, count in params.perm_counts().items():
+        columns[sigma[0]] = columns.get(sigma[0], 0) + count
+    r = len(columns)
+    if params.distinguished_prefix:
+        return 1.0
+    birthday, _ = prefix_partition_prob(params.q, r)
+    if params.restricted_prefix:
+        return birthday
+    length, k = params.blocks.total, params.noise_count
+    # elementary[j]: sum over the j-subsets S of the starts of the product.
+    elementary = [1.0] + [0.0] * r
+    for c in columns.values():
+        x = _qpow(params.q, 1 - c)
+        for j in range(r, 0, -1):
+            elementary[j] += elementary[j - 1] * x
+    total = sum(math.comb(length - r, k - j) / math.comb(length, k) * elementary[j]
+                for j in range(min(r, k) + 1))
+    return birthday * total
+
+
 @dataclass(frozen=True)
 class ProbReport:
     event: str
@@ -169,33 +210,34 @@ def _mc_two_value(event, params, trials, rng):
     return _report(event, closed, hits, trials)
 
 
-def _chunks(params, trials, rng):
-    """Generated trials, about 2**12 symbols per chunk: (values, truths)."""
+def _chunks(sampler, trials, rng):
+    """Generated trials, about 2**12 symbols per chunk, as batches."""
+    params = sampler.params
     step = max(1, 2 ** 12 // (params.blocks.total * params.num_messages))
     for start in range(0, trials, step):
-        yield generate_batch(params, min(step, trials - start), rng)
+        yield sampler.batch(min(step, trials - start), rng)
 
 
 def _mc_conserved_rows(event, params, trials, rng):
     p0, p1 = l_sets_exact_prob(params.q, params.num_messages, params.blocks.total,
                                params.noise_fraction, float(params.shuffle))
     closed = p0 if event == "l0_exact" else p1
-    unswapped = identity(2)
+    sampler = Sampler(params)
+    if not 0 < params.shuffled_count < params.num_messages:
+        raise ValueError("swapped column set must be nonempty and proper")
+    # Per sigma: does it swap the blocks?  Gathered through each column's index.
+    swaps = np.array([sigma != identity(2) for sigma in sampler.sigmas])
     hits = 0
-    for values, truths in _chunks(params, trials, rng):
-        swapped = np.array([[p != unswapped for p in t.column_perms]
-                            for t in truths])
-        if not 0 < np.count_nonzero(swapped[0]) < params.num_messages:
-            raise ValueError("swapped column set must be nonempty and proper")
+    for batch in _chunks(sampler, trials, rng):
+        swapped = swaps[batch.perm_index]
         side = ~swapped if event == "l0_exact" else swapped
-        records = values.transpose(0, 2, 1)
+        records = batch.values.transpose(0, 2, 1)
         first = records[np.arange(len(records)), side.argmax(axis=1)]
         # A row is conserved when every column on the side agrees with the
         # side's first column there.
         conserved = ((records == first[:, None]) | ~side[:, :, None]).all(axis=1)
         noise_free = np.ones(conserved.shape, dtype=bool)
-        np.put_along_axis(noise_free, np.array([t.noise_loci for t in truths],
-                                               dtype=np.intp), False, axis=1)
+        np.put_along_axis(noise_free, batch.loci, False, axis=1)
         if event == "l1_exact":
             # The swapped columns start with the second block.
             noise_free = np.roll(noise_free, -params.blocks.lengths[0], axis=1)
@@ -204,16 +246,20 @@ def _mc_conserved_rows(event, params, trials, rng):
 
 
 def _mc_prefix_partition(event, params, trials, rng):
-    realized = len({s[0] for s in params.perm_counts()})
-    closed, _ = prefix_partition_prob(params.q, realized)
+    closed = prefix_partition_closed(params)
+    sampler = Sampler(params)
+    first_of = np.array([sigma[0] for sigma in sampler.sigmas])
+    # Every trial realizes the same multiset of permutations, so the same
+    # number of distinct first blocks.
+    realized = len(set(first_of.tolist()))
     hits = 0
-    for values, truths in _chunks(params, trials, rng):
+    for batch in _chunks(sampler, trials, rng):
         # Row 0 splits the columns as their first blocks do iff the two
         # partitions and their common refinement have equally many parts.
-        row0 = values[:, 0]
-        first_block = np.array([[p[0] for p in t.column_perms] for t in truths])
+        row0 = batch.values[:, 0]
+        first_block = first_of[batch.perm_index]
         parts = distinct_counts(row0)
-        same = ((parts == distinct_counts(first_block))
+        same = ((parts == realized)
                 & (parts == distinct_counts(first_block * params.q + row0)))
         hits += int(np.count_nonzero(same))
     return _report(event, closed, hits, trials)

@@ -57,5 +57,5 @@ def m_block_recovery(result: MUnshuffleResult, truth: GroundTruth) -> bool:
     # Column n's frame is its true coherent block permutation composed with
     # its recovered permutation: frame[n, a] = cbp_n[perm_n[a]].
     table, index = coherent_block_table(truth.column_perms, truth.blocks)
-    frames = np.take_along_axis(table[index], np.array(result.column_perms), axis=1)
+    frames = np.take_along_axis(table[index], result.column_perms, axis=1)
     return bool(np.all(frames == frames[:1]))

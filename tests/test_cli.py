@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from unshuffle.cli import cli_main
 from unshuffle.corpus_io import CorpusSpec, load_corpus
 
@@ -90,6 +92,25 @@ def test_verify_prob(tmp_path):
     assert report["result"]["agrees"]
 
 
+@pytest.mark.parametrize("flags", [
+    # no prefix restriction, two blocks: a noisy start must agree across columns
+    ("--q", 2, "--lengths", "4,6", "--n", 20, "--lambda", 0.4, "--nu", 0.5),
+    # distinguished prefix: the event is certain
+    ("--q", 4, "--lengths", "2,3,1", "--n", 9, "--lambda", 0.5, "--distinguished-prefix",
+     "--perm-counts", "1,2,3=3;2,3,1=3;3,1,2=3"),
+    # no prefix restriction, three first blocks of unequal column counts
+    ("--q", 3, "--lengths", "2,3,1", "--n", 9, "--lambda", 0.5,
+     "--perm-counts", "1,2,3=2;2,3,1=3;3,1,2=4"),
+    ("--q", 5, "--lengths", "3,4", "--n", 6, "--lambda", 0.3,
+     "--perm-counts", "1,2=3;2,1=3"),
+])
+def test_verify_prob_prefix_partition_beyond_the_birthday_product(flags):
+    # Each of these models made the first-row check fail when it compared
+    # with the birthday product alone.
+    assert run("--seed", 1, "verify-prob", "prefix_partition", *flags,
+               "--trials", 4000) == 0
+
+
 def test_sync_demo():
     assert run("--seed", 5, "sync-demo") == 0
 
@@ -170,6 +191,21 @@ def test_solver_failure_exit_code(tmp_path):
                "--lambda", 0.0, "--nu", 0.0, "--out", out)
     assert code == 0
     assert run("unshuffle2", out, "--record-len", 5) == 1
+
+
+def test_unshuffle2_report_matches_exit_code(tmp_path, capsys):
+    # Few columns: the solver returns a wrong bipartition, which --truth
+    # scoring catches; the report and the printed verdict say so too.
+    out = tmp_path / "c.bin"
+    assert run("--seed", 3, "gen", "--q", 3, "--lengths", "5,7", "--n", 10,
+               "--lambda", 0.6, "--nu", 0.5, "--out", out) == 0
+    report_path = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("unshuffle2", out, "--record-len", 12, "--truth", f"{out}.truth.json",
+               "--json-report", report_path) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "unshuffle2: FAILED"
+    report = json.loads(report_path.read_text())
+    assert report["success"] is False and report["diagnostics"]["recovered"] is False
 
 
 def test_gen_word_bytes_auto(tmp_path):

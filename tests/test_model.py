@@ -3,6 +3,7 @@ straight-line reimplementation used as an oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.model import (
     InfeasibleParamsError,
@@ -11,10 +12,10 @@ from unshuffle.model import (
     generate,
     generate_batch,
     make_rng,
-    sample_ground_truth,
 )
 from unshuffle.perms import (
     BlockStructure,
+    all_perms,
     coherent_block_permutation,
     coherent_block_table,
 )
@@ -70,7 +71,7 @@ def test_different_seeds_differ():
 
 def test_ground_truth_shapes():
     params = two_block_params()
-    truth = sample_ground_truth(params, make_rng(params.seed))
+    _, truth = generate(params)
     assert len(truth.template) == 10
     assert len(truth.noise_loci) == params.noise_count
     assert len(truth.column_perms) == 8
@@ -81,28 +82,21 @@ def test_ground_truth_shapes():
 
 def test_restricted_prefix_avoids_block_starts():
     blocks = BlockStructure((3, 4, 5))
-    starts = set(blocks.block_starts)
-    rng = make_rng(99)
-    for _ in range(1000):
-        params = ModelParams(q=5, blocks=blocks, num_messages=6,
-                             noise_fraction=0.5,
-                             shuffle={(0, 1, 2): 6}, restricted_prefix=True)
-        truth = sample_ground_truth(params, rng)
-        assert not (set(truth.noise_loci) & starts)
+    params = ModelParams(q=5, blocks=blocks, num_messages=6, noise_fraction=0.5,
+                         shuffle={(0, 1, 2): 6}, restricted_prefix=True)
+    batch = generate_batch(params, 1000, make_rng(99))
+    assert batch.loci.shape == (1000, params.noise_count)
+    assert not np.isin(batch.loci, blocks.block_starts).any()
 
 
 def test_distinguished_prefix_start_values_distinct():
     blocks = BlockStructure((2, 2, 2))
     starts = list(blocks.block_starts)
-    rng = make_rng(5)
-    for _ in range(500):
-        params = ModelParams(q=3, blocks=blocks, num_messages=3,
-                             noise_fraction=0.4,
-                             shuffle={(0, 1, 2): 3}, distinguished_prefix=True)
-        truth = sample_ground_truth(params, rng)
-        values = truth.template[starts].tolist()
-        assert len(set(values)) == 3
-        assert not (set(truth.noise_loci) & set(starts))
+    params = ModelParams(q=3, blocks=blocks, num_messages=3, noise_fraction=0.4,
+                         shuffle={(0, 1, 2): 3}, distinguished_prefix=True)
+    batch = generate_batch(params, 500, make_rng(5))
+    assert all(len(set(row)) == 3 for row in batch.templates[:, starts].tolist())
+    assert not np.isin(batch.loci, starts).any()
 
 
 def test_noise_infeasible_when_all_positions_excluded():
@@ -110,7 +104,7 @@ def test_noise_infeasible_when_all_positions_excluded():
     params = ModelParams(q=7, blocks=blocks, num_messages=3, noise_fraction=1.0,
                          shuffle={(0, 1, 2): 3}, restricted_prefix=True)
     with pytest.raises(InfeasibleParamsError):
-        sample_ground_truth(params, make_rng(0))
+        generate(params, make_rng(0))
 
 
 def straight_line_two_block(q, lengths, n, k, n_swapped, rng):
@@ -156,16 +150,17 @@ def test_generate_against_straight_line_reimplementation():
                                            (5, (1, 2), 9, 0.0, 0.2, 4)]:
         params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
                              noise_fraction=lam, shuffle=nu)
-        values, truths = generate_batch(params, trials, make_rng(5))
-        assert values.shape == (trials, sum(lengths), n)
+        batch = generate_batch(params, trials, make_rng(5))
+        assert batch.values.shape == (trials, sum(lengths), n)
         rng = make_rng(5)
         for t in range(trials):
             expected, template, loci, perms = straight_line_two_block(
                 q, lengths, n, params.noise_count, params.shuffled_count, rng)
-            assert np.array_equal(values[t], expected)
-            assert np.array_equal(truths[t].template, template)
-            assert list(truths[t].noise_loci) == loci
-            assert list(truths[t].column_perms) == perms
+            truth = batch.truth(t)
+            assert np.array_equal(batch.values[t], expected)
+            assert np.array_equal(truth.template, template)
+            assert list(truth.noise_loci) == loci
+            assert list(truth.column_perms) == perms
 
 
 def test_noise_values_roughly_uniform():
@@ -207,3 +202,57 @@ def test_column_cbps_match_perms():
     for sigma, row in zip(truth.column_perms, index):
         assert tuple(table[row].tolist()) == \
             coherent_block_permutation(sigma, truth.blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.integers(2, 6), m=st.integers(1, 4),
+       n=st.integers(1, 12), lam=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       prefix=st.sampled_from(["", "restricted", "distinguished"]),
+       fraction=st.booleans(), trials=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_equals_successive_generate_calls(data, q, m, n, lam, prefix, fraction,
+                                                trials, seed):
+    # Both shuffle forms: a two-block swapped fraction, or permutation counts.
+    if fraction:
+        m = 2
+        shuffle = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    else:
+        sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                    max_size=4, unique=True))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
+                                         max_size=len(sigmas) - 1)))
+        shuffle = {s: b - a for s, a, b in zip(sigmas, [0, *cuts], [*cuts, n])}
+    lengths = data.draw(st.tuples(*[st.integers(1, 5)] * m))
+    assume(prefix != "distinguished" or q >= m)
+    params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
+                         noise_fraction=lam, shuffle=shuffle,
+                         restricted_prefix=prefix == "restricted",
+                         distinguished_prefix=prefix == "distinguished")
+    assume(params.noise_count <= sum(lengths) - (m if prefix else 0))
+    batch = generate_batch(params, trials, make_rng(seed))
+    rng = make_rng(seed)
+    for t in range(trials):
+        corpus, truth = generate(params, rng)
+        assert np.array_equal(batch.values[t], corpus.values)
+        assert np.array_equal(batch.templates[t], truth.template)
+        assert tuple(batch.loci[t].tolist()) == truth.noise_loci
+        assert tuple(batch.sigmas[i] for i in batch.perm_index[t]) == truth.column_perms
+        assert batch.truth(t).column_perms == truth.column_perms
+    # The batch drew exactly as much of the stream as the successive calls.
+    tail = make_rng(seed)
+    generate_batch(params, trials, tail)
+    assert tail.integers(0, 2 ** 62, size=4).tolist() == rng.integers(0, 2 ** 62, size=4).tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_size_draws_leave_the_stream_unchanged(seed):
+    # The generator skips its loci and noise draws when there are no noise
+    # loci; that keeps the stream only because numpy's zero-size draws
+    # consume no randomness, even with a 32-bit half-word buffered.
+    drawn, fresh = make_rng(seed), make_rng(seed)
+    for rng in (drawn, fresh):
+        rng.integers(0, 5, size=3, dtype=np.int64)
+    drawn.choice(np.arange(7), size=0, replace=False)
+    drawn.integers(0, 5, size=(4, 0), dtype=np.int64)
+    assert drawn.integers(0, 5, size=9).tolist() == fresh.integers(0, 5, size=9).tolist()
+    assert drawn.integers(0, 2 ** 62, size=3).tolist() == \
+        fresh.integers(0, 2 ** 62, size=3).tolist()

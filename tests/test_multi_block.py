@@ -248,7 +248,7 @@ def recovery_cases(draw):
         cuts = [0, *sorted(inner), total]
         lengths = tuple(b - a for a, b in zip(cuts, cuts[1:]))
     result = MUnshuffleResult(
-        block_count=len(lengths), lengths=lengths, column_perms=tuple(perms),
+        block_count=len(lengths), lengths=lengths, column_perms=np.array(perms),
         aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
         trace=(), success=not failed)
     truth = GroundTruth(template=np.zeros(total, dtype=np.int64), noise_loci=(),

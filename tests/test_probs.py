@@ -1,6 +1,8 @@
 """Closed-form probabilities and the Monte Carlo verification harness."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from conftest import row_partition
@@ -17,6 +19,7 @@ from unshuffle.probs import (
     monte_carlo,
     p2_closed,
     p_n_closed,
+    prefix_partition_closed,
     prefix_partition_prob,
 )
 
@@ -137,7 +140,8 @@ def test_mc_prefix_partition_agrees():
                          seed=42)
     report = monte_carlo("prefix_partition", params, 2_000)
     assert report.agrees
-    assert report.closed_form == pytest.approx(prefix_partition_prob(16, 4)[0])
+    # With no noise loci the exact form is the birthday product, bit for bit.
+    assert report.closed_form == prefix_partition_prob(16, 4)[0]
 
 
 def test_mc_determinism_and_serialization():
@@ -155,6 +159,26 @@ def test_mc_input_validation():
         monte_carlo("unknown", params_for("p_n"), 1_000)
     assert set(MC_EVENTS) == {"p_n", "p_2", "l0_exact", "l1_exact",
                               "prefix_partition"}
+
+
+@pytest.mark.parametrize("event", ["l0_exact", "l1_exact", "prefix_partition"])
+def test_monte_carlo_sets_the_model_up_once_and_builds_no_truths(monkeypatch, event):
+    # 600 trials span many chunks of about 2**12 symbols.
+    from unshuffle import model
+    built = []
+    set_up = model.Sampler.__init__
+    monkeypatch.setattr(model.Sampler, "__init__",
+                        lambda self, params: built.append(set_up(self, params)))
+    monkeypatch.setattr(model.Batch, "truth",
+                        lambda self, t: pytest.fail("a per-trial ground truth was built"))
+    if event == "prefix_partition":
+        params = ModelParams(q=5, blocks=BlockStructure((2, 3, 4)), num_messages=12,
+                             noise_fraction=0.3, shuffle={(0, 1, 2): 6, (2, 0, 1): 6},
+                             seed=4)
+    else:
+        params = params_for(event)
+    assert monte_carlo(event, params, 600).trials == 600
+    assert len(built) == 1
 
 
 # The per-trial Monte Carlo loops the batched events replaced, kept as the
@@ -235,3 +259,51 @@ def test_batched_prefix_partition_matches_per_trial_loop(data, q, m, lam, prefix
     report = _mc_prefix_partition("prefix_partition", params, trials, make_rng(seed))
     assert round(report.mc_estimate * trials) == \
         prefix_hits_oracle(params, trials, make_rng(seed))
+
+
+def prefix_enumeration(params):
+    """The first-row event's probability by enumerating every noise-locus
+    set the generator can draw, in exact arithmetic: each is equally
+    likely; a noisy start shared by c columns needs them to agree
+    (1 / q**(c-1)), and the groups' values must then be pairwise distinct."""
+    q = params.q
+    columns = {}
+    for sigma, count in params.perm_counts().items():
+        columns[sigma[0]] = columns.get(sigma[0], 0) + count
+    if params.distinguished_prefix:
+        return Fraction(1)
+    birthday = Fraction(1)
+    for i in range(len(columns)):
+        birthday *= Fraction(q - i, q)
+    starts = params.blocks.block_starts
+    allowed = [l for l in range(params.blocks.total)
+               if not (params.restricted_prefix and l in starts)]
+    total, sets = Fraction(0), 0
+    for loci in itertools.combinations(allowed, params.noise_count):
+        weight = Fraction(1)
+        for block, count in columns.items():
+            if starts[block] in loci:
+                weight /= q ** (count - 1)
+        total += weight
+        sets += 1
+    return birthday * total / sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), q=st.integers(2, 6), m=st.integers(1, 4),
+       lam=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+       prefix=st.sampled_from(["", "restricted", "distinguished"]))
+def test_prefix_partition_closed_matches_enumeration(data, q, m, lam, prefix):
+    lengths = data.draw(st.tuples(*[st.integers(1, 4)] * m))
+    sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                max_size=5, unique=True))
+    counts = {s: data.draw(st.integers(1, 4)) for s in sigmas}
+    assume(prefix != "distinguished" or q >= m)
+    params = ModelParams(q=q, blocks=BlockStructure(lengths),
+                         num_messages=sum(counts.values()), noise_fraction=lam,
+                         shuffle=counts, restricted_prefix=prefix == "restricted",
+                         distinguished_prefix=prefix == "distinguished")
+    assume(params.noise_count <= sum(lengths) - (m if prefix else 0))
+    assert prefix_partition_closed(params) == \
+        pytest.approx(float(prefix_enumeration(params)), rel=1e-12, abs=1e-300)
+
