@@ -10,6 +10,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -363,7 +364,10 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SOLVER_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="unshuffle-cli",
         description="Generate, diagnose, and unshuffle block-permuted corpora.")

@@ -80,7 +80,9 @@ def _records_from_bytes(raw: bytes, spec: CorpusSpec, origin: str) -> np.ndarray
 
 def load_corpus(spec: CorpusSpec) -> ShuffledCorpus:
     """Read records as corpus columns, in file order (directories: sorted by
-    filename)."""
+    filename).  The values are an (L, N) C-contiguous (row-major) array in
+    the file's own word dtype: the solvers work row by row, and the one
+    transposing copy holds L*N*word_bytes bytes, not 8 per symbol."""
     src = spec.source
     if src.is_dir():
         files = sorted(p for p in src.iterdir() if p.is_file())
@@ -93,17 +95,19 @@ def load_corpus(spec: CorpusSpec) -> ShuffledCorpus:
                 raise MalformedCorpusError(
                     f"{path}: expected exactly one record, found {recs.shape[0]}")
             records.append(recs[0])
-        matrix = np.stack(records)
+        values = np.stack(records, axis=1)
     else:
         raw = src.read_bytes()
         if not raw:
             raise EmptyCorpusError(f"{src} is empty")
-        matrix = _records_from_bytes(raw, spec, str(src))
-    return ShuffledCorpus(values=matrix.T.astype(np.int64), q=spec.q)
+        values = np.ascontiguousarray(_records_from_bytes(raw, spec, str(src)).T)
+    return ShuffledCorpus(values=values, q=spec.q)
 
 
 def write_corpus(corpus: ShuffledCorpus, spec: CorpusSpec) -> None:
-    """Bit-exact inverse of :func:`load_corpus` (single-file layout)."""
+    """Bit-exact inverse of :func:`load_corpus` (single-file layout).  The
+    values may have any integer dtype and layout; a corpus whose records
+    already lie contiguous in the word dtype is written without a copy."""
     if corpus.q > spec.q:
         raise ValueError(
             f"alphabet {corpus.q} does not fit {spec.word_bytes}-byte words")

@@ -130,7 +130,10 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ShuffledCorpus:
-    """L x N matrix over Z/qZ; column n is message n."""
+    """L x N matrix over Z/qZ; column n is message n.  ``values`` may have
+    any integer dtype and memory layout: generated corpora are int64,
+    stored column by column, and loaded corpora are row-major in their word
+    dtype (see :func:`unshuffle.corpus_io.load_corpus`)."""
 
     values: np.ndarray
     q: int
@@ -227,7 +230,10 @@ class Sampler:
             cols = templates[trial]
             if k:
                 at = (np.arange(stop - start)[:, None], loci[trial])
-                cols[at] = (cols[at] + noise[start:stop]) % q
+                folded = cols[at] + noise[start:stop]
+                # Both terms are below q: one conditional subtract is the mod.
+                folded -= q * (folded >= q)
+                cols[at] = folded
             out[start:stop] = np.take_along_axis(cols, self.table[flat_index[start:stop]],
                                                  axis=1)
         return Batch(values=out.reshape(trials, n, total).transpose(0, 2, 1),

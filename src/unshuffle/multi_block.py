@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ShuffledCorpus
-from .partitions import distinct_counts
+from .partitions import distinct_counts, sorted_rows
 
 
 class AlignmentFailedError(RuntimeError):
@@ -128,7 +128,7 @@ def _modal_rows(values: np.ndarray):
     """Per-row most frequent value and its multiplicity; the smallest such
     value on ties.  One row-wise sort, then run lengths."""
     n_cols = values.shape[1]
-    ordered = np.sort(values, axis=1)
+    ordered = sorted_rows(values)
     starts = np.ones(ordered.shape, dtype=bool)
     starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     flat_starts = np.flatnonzero(starts)
@@ -138,7 +138,7 @@ def _modal_rows(values: np.ndarray):
     counts = np.maximum.reduceat(runs, row_first_run)
     best = np.flatnonzero(runs == counts[run_rows])
     best = best[np.diff(run_rows[best], prepend=-1) != 0]  # first (smallest) per row
-    return ordered.ravel()[flat_starts[best]], counts
+    return ordered.ravel()[flat_starts[best]].astype(values.dtype), counts
 
 
 def _repair_outliers(aligned: np.ndarray, passes: int = 2) -> np.ndarray:

@@ -3,6 +3,12 @@
 Each row of a corpus groups the columns by the value they carry at that
 position; the sizes of these groupings reveal block structure even when the
 per-column permutations are unknown.
+
+Counting a row's distinct values means sorting it, and that row sort is the
+solvers' main kernel.  Rows of 1-byte words are sorted as 16-bit integers:
+numpy 2.4 has no fast sort for 8-bit types (on x86-64, 64 rows of 4000
+sort in about 5 ms as uint8 against 0.15 ms as int16 and 0.4 ms as int64),
+and the widening is exact and costs one small copy per block.
 """
 
 from __future__ import annotations
@@ -24,6 +30,16 @@ class PartitionProfile:
         return max(self.sizes)
 
 
+def sorted_rows(values: np.ndarray) -> np.ndarray:
+    """A copy of a 2-D integer array with each row sorted; 1-byte values
+    come back widened to int16, which sorts them about 30 times faster."""
+    if values.dtype.itemsize == 1:
+        ordered = values.astype(np.int16)
+        ordered.sort(axis=1)
+        return ordered
+    return np.sort(values, axis=1)
+
+
 def distinct_counts(values: np.ndarray) -> np.ndarray:
     """Number of distinct values in each row of a 2-D array (the row's
     partition size).  Rows are sorted about 2**18 entries at a time: the
@@ -31,7 +47,7 @@ def distinct_counts(values: np.ndarray) -> np.ndarray:
     step = max(1, 2 ** 18 // (values.shape[1] + 1))
     counts = np.empty(len(values), dtype=np.intp)
     for start in range(0, len(values), step):
-        ordered = np.sort(values[start:start + step], axis=1)
+        ordered = sorted_rows(values[start:start + step])
         counts[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
     return counts
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from unshuffle.cli import cli_main
+from unshuffle.cli import build_parser, cli_main
 from unshuffle.corpus_io import CorpusSpec, load_corpus
 
 
@@ -216,3 +216,51 @@ def test_gen_word_bytes_auto(tmp_path):
     corpus = load_corpus(CorpusSpec(source=out, record_len=5, word_bytes=2))
     assert corpus.values.shape == (5, 4)
     assert int(corpus.values.max()) < 1000
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    # The parser is built once per process; flags of one call must not
+    # reach the next, and a repeated call must print and exit the same.
+    assert build_parser() is build_parser()
+    corpus = gen_two_block(tmp_path)
+    truth = tmp_path / "corpus.bin.truth.json"
+    aligned = tmp_path / "aligned.bin"
+    report_path = tmp_path / "report.json"
+
+    def call(*argv):
+        capsys.readouterr()
+        code = run(*argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    scored = ("--seed", 7, "unshuffle2", corpus, "--record-len", 100,
+              "--truth", truth, "--out", aligned, "--json-report", report_path)
+    first = call(*scored)
+    assert first[0] == 0 and aligned.exists() and report_path.exists()
+    aligned.unlink()
+    report_path.unlink()
+    bare_report = tmp_path / "bare.json"
+    assert call("unshuffle2", corpus, "--record-len", 100,
+                "--json-report", bare_report)[0] == 0
+    assert not aligned.exists() and not report_path.exists()
+    bare = json.loads(bare_report.read_text())
+    assert bare["seed"] is None and bare["diagnostics"] == {}
+    missing = call("analyze", corpus)  # no --record-len
+    assert missing[0] == 2 and "--record-len" in missing[2]
+    wide = tmp_path / "wide.bin"
+    assert call("--seed", 2, "gen", "--q", 3, "--lengths", "2,3", "--n", 4,
+                "--word-bytes", 2, "--out", wide)[0] == 0
+    narrow = tmp_path / "narrow.bin"
+    assert call("--seed", 2, "gen", "--q", 3, "--lengths", "2,3", "--n", 4,
+                "--out", narrow)[0] == 0
+    assert (wide.stat().st_size, narrow.stat().st_size) == (40, 20)
+    assert call("verify-prob", "p_n", "--q", 3, "--lengths", "4,6", "--n", 20,
+                "--nu", 0.3, "--trials", 200)[0] == 0
+    assert call(*scored) == first
+    assert call("analyze", corpus) == missing
+    report = json.loads(report_path.read_text())
+    assert report["seed"] == 7 and report["diagnostics"]["recovered"]
+    bare_report.unlink()
+    assert call("unshuffle2", corpus, "--record-len", 100,
+                "--json-report", bare_report)[0] == 0
+    assert json.loads(bare_report.read_text()) == bare

@@ -69,6 +69,30 @@ def test_directory_layout_sorted(tmp_path):
     assert corpus.values[:, 1].tolist() == [4, 5, 6]
 
 
+@pytest.mark.parametrize("word_bytes,dtype", [(1, np.uint8), (2, np.uint16),
+                                              (4, np.uint32)])
+@pytest.mark.parametrize("layout", ["file", "directory"])
+def test_loaded_corpus_is_row_major_in_its_word_dtype(tmp_path, word_bytes, dtype,
+                                                      layout):
+    top = 256 ** word_bytes - 1
+    records = np.array([[top, 0, 1, top - 1], [5, top, 7, 0], [0, 0, top, 9]],
+                       dtype=f"<u{word_bytes}")
+    if layout == "file":
+        source = tmp_path / "c.bin"
+        source.write_bytes(records.tobytes())
+    else:
+        source = tmp_path / "records"
+        source.mkdir()
+        for i, record in enumerate(records):
+            (source / f"r{i}.bin").write_bytes(record.tobytes())
+    corpus = load_corpus(CorpusSpec(source=source, record_len=4,
+                                    word_bytes=word_bytes))
+    assert corpus.values.dtype == dtype
+    assert corpus.values.flags.c_contiguous
+    assert corpus.values.shape == (4, 3)
+    assert np.array_equal(corpus.values, records.T)
+
+
 def test_malformed_and_empty(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(bytes([1, 2, 3]))

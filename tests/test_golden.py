@@ -30,19 +30,26 @@ def report_digest(path) -> str:
     return digest(json.dumps(body, sort_keys=True).encode())
 
 
-def two_block_outputs(tmp_path, seed, q, lengths, n, lam, nu):
+def word_flags(word_bytes):
+    """``--word-bytes`` for every call, or nothing for the CLI's default."""
+    return () if word_bytes is None else ("--word-bytes", word_bytes)
+
+
+def two_block_outputs(tmp_path, seed, q, lengths, n, lam, nu, word_bytes=None):
     corpus = tmp_path / "corpus.bin"
     truth = tmp_path / "corpus.bin.truth.json"
     record_len = sum(int(x) for x in lengths.split(","))
+    words = word_flags(word_bytes)
     assert run("--seed", seed, "gen", "--q", q, "--lengths", lengths,
-               "--n", n, "--lambda", lam, "--nu", nu, "--out", corpus) == 0
+               "--n", n, "--lambda", lam, "--nu", nu, *words,
+               "--out", corpus) == 0
     profile = tmp_path / "profile.csv"
     analyze_report = tmp_path / "analyze.json"
-    assert run("analyze", corpus, "--record-len", record_len,
+    assert run("analyze", corpus, "--record-len", record_len, *words,
                "--out", profile, "--json-report", analyze_report) == 0
     aligned = tmp_path / "aligned.bin"
     solve_report = tmp_path / "unshuffle2.json"
-    code = run("unshuffle2", corpus, "--record-len", record_len,
+    code = run("unshuffle2", corpus, "--record-len", record_len, *words,
                "--truth", truth, "--out", aligned,
                "--json-report", solve_report)
     return {"corpus": digest(corpus.read_bytes()),
@@ -91,16 +98,17 @@ def six_block_counts(seed, factor):
                     for sigma, m in zip(pool, SIX_BLOCK_MULT))
 
 
-def six_block_outputs(tmp_path, seed, factor):
+def six_block_outputs(tmp_path, seed, factor, q=256, word_bytes=None):
     corpus = tmp_path / "m.bin"
     truth = tmp_path / "m.bin.truth.json"
-    assert run("--seed", seed, "gen", "--q", 256, "--lengths", SIX_BLOCK_LENGTHS,
+    words = word_flags(word_bytes)
+    assert run("--seed", seed, "gen", "--q", q, "--lengths", SIX_BLOCK_LENGTHS,
                "--n", sum(SIX_BLOCK_MULT) * factor, "--lambda", 0.5,
                "--perm-counts", six_block_counts(seed, factor),
-               "--restricted-prefix", "--out", corpus) == 0
+               "--restricted-prefix", *words, "--out", corpus) == 0
     aligned = tmp_path / "aligned.bin"
     solve_report = tmp_path / "unshuffle.json"
-    code = run("unshuffle", corpus, "--record-len", 82, "--truth", truth,
+    code = run("unshuffle", corpus, "--record-len", 82, *words, "--truth", truth,
                "--out", aligned, "--json-report", solve_report)
     report = json.loads(solve_report.read_text())
     return {"corpus": digest(corpus.read_bytes()),
@@ -152,12 +160,16 @@ CASES = {
     "two_block_seed2": (two_block_outputs, (2, 4, "30,50", 120, 0.5, 0.4)),
     # Few columns: many competing bipartitions and a likely failed recovery.
     "two_block_seed3": (two_block_outputs, (3, 3, "5,7", 10, 0.6, 0.5)),
+    # 2-byte words holding values above 255, so the uint16 path is pinned.
+    "two_block_words2": (two_block_outputs, (9, 1000, "40,60", 80, 0.5, 0.3, 2)),
     "m_block_seed4": (m_block_outputs, (4, "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8", None)),
     "m_block_seed5": (m_block_outputs, (5, "1,2,3=20;3,1,2=12;2,1,3=8", 3)),
     # N=400 recovers; N=1200 fails on the noise-row threshold (a known
     # defect), which pins the failing trace as well.
     "six_block_n400": (six_block_outputs, (1_000_001, 5)),
     "six_block_n1200": (six_block_outputs, (1_000_002, 15)),
+    # q=4096 in 2-byte words: the six-block solver on uint16 values.
+    "six_block_words2": (six_block_outputs, (1_000_003, 5, 4096, 2)),
     "verify_p_n": (verify_prob_outputs, (6, "p_n")),
     "verify_p_2": (verify_prob_outputs, (6, "p_2")),
     "verify_l0_exact": (verify_prob_outputs, (7, "l0_exact", MC_TWO_BLOCK, 1000)),
@@ -227,6 +239,24 @@ GOLDEN = {
         # The report says "success": false, as its exit code does.
         "unshuffle2": "774f8e68331606cd",
         "unshuffle2_exit": 1,
+    },
+    "two_block_words2": {
+        "corpus": "23a5cb20a631cdf4",
+        "truth": "429f4a3cc5f0b6ef",
+        "profile_csv": "84d175b39477c71d",
+        "analyze": "134eafcb3ef73745",
+        "aligned": "ae8934bc5f98c9f6",
+        "unshuffle2": "0853cd28b67f7135",
+        "unshuffle2_exit": 0,
+    },
+    "six_block_words2": {
+        "corpus": "78340da18b7d683f",
+        "truth": "7a433a6635c9522a",
+        "aligned": "737645aceb1062fe",
+        "unshuffle": "40c654179a89bd8f",
+        "trace": "b748843036d87c0c",
+        "failure_reason": None,
+        "unshuffle_exit": 0,
     },
     "verify_p_2": {
         "verify_prob": "50295d79c1287a55",

@@ -1,0 +1,115 @@
+"""Dtype and layout invariance: a corpus stored as int64 column by column
+(as generated) and the same corpus stored row-major in a 1-, 2- or 4-byte
+word dtype (as loaded) give identical results from every row kernel and
+both solvers.  Symbols are spread over the narrow dtype's whole range, so
+wrapped arithmetic in the narrow type would show."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from unshuffle.model import ModelParams, ShuffledCorpus, generate
+from unshuffle.multi_block import AlignmentFailedError, _modal_rows, unshuffle_m
+from unshuffle.partitions import distinct_counts
+from unshuffle.perms import BlockStructure, all_perms
+from unshuffle.two_block import (
+    NotIdentifiableError,
+    estimate_conserved_rows,
+    estimate_swapped_columns,
+    unshuffle2,
+)
+
+WORDS = [np.uint8, np.uint16, np.uint32]
+
+
+def two_layouts(data, corpus, word):
+    """The generated corpus with its q symbols renamed to distinct values of
+    ``word`` (hypothesis favours 0 and the maximum), once as int64 stored
+    column by column and once as a C-contiguous ``word`` array."""
+    top = int(np.iinfo(word).max)
+    palette = np.array(data.draw(st.lists(st.integers(0, top), min_size=corpus.q,
+                                          max_size=corpus.q, unique=True)),
+                       dtype=np.int64)
+    wide = np.asfortranarray(palette[corpus.values])
+    narrow = np.ascontiguousarray(wide, dtype=word)
+    assert narrow.dtype == word and narrow.flags.c_contiguous
+    assert wide.dtype == np.int64 and wide.flags.f_contiguous
+    return (ShuffledCorpus(values=wide, q=top + 1),
+            ShuffledCorpus(values=narrow, q=top + 1))
+
+
+def outcome(solve, corpus):
+    """The solver's result, or the type and message of what it raised."""
+    try:
+        return solve(corpus)
+    except (NotIdentifiableError, AlignmentFailedError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_rows(wide, narrow):
+    assert np.array_equal(distinct_counts(wide.values), distinct_counts(narrow.values))
+    wide_modes, wide_counts = _modal_rows(wide.values)
+    narrow_modes, narrow_counts = _modal_rows(narrow.values)
+    assert narrow_modes.dtype == narrow.values.dtype
+    assert np.array_equal(wide_modes, narrow_modes)
+    assert np.array_equal(wide_counts, narrow_counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), word=st.sampled_from(WORDS), q=st.integers(2, 5),
+       lengths=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       n=st.integers(2, 24), lam=st.floats(0, 0.6), nu=st.floats(0.1, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_two_block_invariant_to_word_dtype(data, word, q, lengths, n, lam, nu, seed):
+    params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
+                         noise_fraction=lam, shuffle=nu, seed=seed)
+    wide, narrow = two_layouts(data, generate(params)[0], word)
+    assert_same_rows(wide, narrow)
+    swapped = outcome(estimate_swapped_columns, wide)
+    assert outcome(estimate_swapped_columns, narrow) == swapped
+    if isinstance(swapped[0], type):
+        return
+    assert (estimate_conserved_rows(wide, swapped)
+            == estimate_conserved_rows(narrow, swapped))
+    a, b = unshuffle2(wide), unshuffle2(narrow)
+    assert (a.swapped_cols, a.first_block_len, a.conserved_unswapped,
+            a.conserved_swapped, a.score) == \
+        (b.swapped_cols, b.first_block_len, b.conserved_unswapped,
+         b.conserved_swapped, b.score)
+    assert b.aligned.values.dtype == word
+    assert np.array_equal(a.aligned.values, b.aligned.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), word=st.sampled_from(WORDS), q=st.integers(2, 8),
+       lengths=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+       counts=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       lam=st.floats(0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_m_block_invariant_to_word_dtype(data, word, q, lengths, counts, lam, seed):
+    if sum(counts) == 0:
+        counts[0] = 1
+    shuffle = dict(zip(all_perms(3), counts))
+    params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=sum(counts),
+                         noise_fraction=lam, shuffle=shuffle, restricted_prefix=True,
+                         seed=seed)
+    wide, narrow = two_layouts(data, generate(params)[0], word)
+    assert_same_rows(wide, narrow)
+    a, b = outcome(unshuffle_m, wide), outcome(unshuffle_m, narrow)
+    if isinstance(a, tuple):
+        assert b == a
+        return
+    assert (a.block_count, a.lengths, a.trace, a.success, a.failure_reason) == \
+        (b.block_count, b.lengths, b.trace, b.success, b.failure_reason)
+    assert np.array_equal(a.column_perms, b.column_perms)
+    assert b.aligned.values.dtype == word
+    assert np.array_equal(a.aligned.values, b.aligned.values)
+
+
+@pytest.mark.parametrize("word", WORDS)
+def test_modal_rows_ties_at_the_top_of_the_range(word):
+    # [DERIVED] each row holds two values twice each; the smaller one wins,
+    # also when the larger is the dtype's maximum.
+    top = int(np.iinfo(word).max)
+    rows = np.array([[top, 0, top, 0], [top, top - 1, top - 1, top]])
+    modes, counts = _modal_rows(rows.astype(word))
+    assert modes.tolist() == [0, top - 1] and counts.tolist() == [2, 2]
