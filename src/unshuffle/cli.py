@@ -188,7 +188,7 @@ def _truth_for(args, corpus):
     if args.truth is None:
         return None
     truth, _ = load_truth(args.truth)
-    shape = (truth.blocks.total, len(truth.column_perms))
+    shape = (truth.blocks.total, len(truth.perm_index))
     if shape != corpus.values.shape:
         raise ValueError(
             f"truth sidecar {args.truth} describes {shape[1]} records of "

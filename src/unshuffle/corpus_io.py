@@ -8,6 +8,7 @@ the alphabet is 256 ** word_bytes.  Ground truth and reports are JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -134,45 +135,52 @@ def _json_indented(items, indent: str, brackets: str = "[]") -> str:
 def write_truth(truth: GroundTruth, q: int, path) -> None:
     """The sidecar, byte for byte as ``json.dumps(doc, indent=2)`` writes it;
     every value is an int or a flat list of ints, so the layout is built
-    directly, each distinct permutation once."""
-    perms = {p: _json_indented(list(map(str, to_one_line(p))), "    ")
-             for p in set(truth.column_perms)}
+    directly, each distinct permutation formatted once."""
+    perms = [_json_indented(list(map(str, to_one_line(p))), "    ") for p in truth.sigmas]
     fields = {
         "q": str(q),
         "block_lengths": _json_indented(list(map(str, truth.blocks.lengths)), "  "),
         "template": _json_indented(list(map(str, truth.template.tolist())), "  "),
-        "noise_loci": _json_indented([str(l + 1) for l in truth.noise_loci], "  "),
-        "column_perms": _json_indented([perms[p] for p in truth.column_perms], "  "),
+        "noise_loci": _json_indented(list(map(str, (truth.noise_loci + 1).tolist())), "  "),
+        "column_perms": _json_indented([perms[i] for i in truth.perm_index.tolist()], "  "),
     }
     text = _json_indented([f'"{key}": {value}' for key, value in fields.items()],
                           "", "{}")
     _atomic_write(Path(path), text.encode())
 
 
+def _ints(values, dtype=np.int64) -> np.ndarray:
+    """A JSON list of integers as an array; any other entry (bools too) is a TypeError."""
+    if not isinstance(values, list) or set(map(type, values)) - {int}:
+        raise TypeError("expected a list of integers")
+    return np.array(values, dtype=dtype)
+
+
 def load_truth(path) -> tuple:
-    """Returns (GroundTruth, q).  A document without the sidecar's fields and
-    types, or whose template, noise loci or permutations do not fit its
-    block lengths, raises ValueError."""
+    """Returns (GroundTruth, q), with ``sigmas`` sorted as the generator sorts
+    them.  A document without the sidecar's fields, with an entry that is not
+    a JSON integer, or whose template, noise loci or permutations do not fit
+    its block lengths, raises ValueError."""
     doc = json.loads(Path(path).read_text())
     try:
-        rows = list(map(tuple, doc["column_perms"]))
-        perms = {row: from_one_line(row) for row in set(rows)}
-        truth = GroundTruth(
-            template=np.array(doc["template"], dtype=np.int64),
-            noise_loci=tuple(l - 1 for l in doc["noise_loci"]),
-            column_perms=tuple(map(perms.__getitem__, rows)),
-            blocks=BlockStructure(tuple(doc["block_lengths"])),
-        )
-        q = int(doc["q"])
-    except (KeyError, TypeError) as exc:
+        q = int(_ints([doc["q"]])[0])
+        blocks = BlockStructure(tuple(_ints(doc["block_lengths"]).tolist()))
+        template = _ints(doc["template"])
+        noise_loci = _ints(doc["noise_loci"], np.intp) - 1
+        rows = doc["column_perms"]
+        row_lengths = set(map(len, rows))
+        entries = _ints(list(itertools.chain.from_iterable(rows)))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed truth sidecar {path}: {exc!r}") from exc
-    blocks = truth.blocks
-    if (truth.template.shape != (blocks.total,)
-            or not all(0 <= l < blocks.total for l in truth.noise_loci)
-            or any(len(p) != blocks.block_count for p in perms.values())):
+    if (row_lengths - {blocks.block_count} or template.shape != (blocks.total,)
+            or not np.all((noise_loci >= 0) & (noise_loci < blocks.total))):
         raise ValueError(f"malformed truth sidecar {path}: template, noise loci "
                          f"or permutations do not fit block lengths {blocks.lengths}")
-    return truth, q
+    distinct, perm_index = np.unique(entries.reshape(len(rows), blocks.block_count),
+                                     axis=0, return_inverse=True)
+    return GroundTruth(template=template, noise_loci=noise_loci,
+                       sigmas=tuple(map(from_one_line, distinct.tolist())),
+                       perm_index=perm_index, blocks=blocks), q
 
 
 @dataclass(frozen=True)

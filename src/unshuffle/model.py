@@ -113,19 +113,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator drew: template, noise loci, per-column permutations."""
+    """What the generator drew for one corpus, as arrays: column n was
+    rearranged by the coherent block permutation of sigmas[perm_index[n]]."""
 
-    template: np.ndarray          # length L, values in [0, q)
-    noise_loci: tuple             # sorted 0-based positions
-    column_perms: tuple           # per-column block-level Perm on [0, M)
+    template: np.ndarray    # (L,), values in [0, q)
+    noise_loci: np.ndarray  # sorted 0-based positions, intp
+    sigmas: tuple           # distinct block-level permutations on [0, M), sorted
+    perm_index: np.ndarray  # (N,) index into sigmas
     blocks: BlockStructure
 
     @property
-    def swapped_columns(self) -> tuple:
-        """Columns whose permutation is not the identity (two-block: the
-        shuffled set)."""
+    def swapped(self) -> np.ndarray:
+        """(N,) bool mask of the columns whose permutation is not the
+        identity (two-block: the shuffled set)."""
         ident = identity(self.blocks.block_count)
-        return tuple(n for n, p in enumerate(self.column_perms) if p != ident)
+        return np.array([s != ident for s in self.sigmas], dtype=bool)[self.perm_index]
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,9 @@ class ShuffledCorpus:
         a = np.asarray(self.values)
         if a.ndim != 2:
             raise ValueError(f"corpus must be 2-D, got shape {a.shape}")
-        if a.size and (a.min() < 0 or a.max() >= self.q):
+        # An unsigned dtype whose largest value is below q cannot be out of range.
+        bounded = a.dtype.kind == "u" and np.iinfo(a.dtype).max < self.q
+        if a.size and not bounded and (a.min() < 0 or a.max() >= self.q):
             raise ValueError("corpus entries outside [0, q)")
         object.__setattr__(self, "values", a)
 
@@ -178,7 +182,7 @@ class Sampler:
         counts = sorted(params.perm_counts().items())
         self.sigmas = tuple(sigma for sigma, _ in counts)
         self.pool = np.repeat(np.arange(len(counts)), [count for _, count in counts])
-        self.table, _ = coherent_block_table(self.sigmas, blocks)
+        self.table = coherent_block_table(self.sigmas, blocks)
 
     def batch(self, trials: int, rng: np.random.Generator) -> "Batch":
         """Draw ``trials`` corpora from ``rng``, the same stream as
@@ -244,7 +248,7 @@ class Sampler:
 @dataclass(frozen=True)
 class Batch:
     """Corpora drawn in one batch and what the generator drew for each, as
-    arrays indexed by trial."""
+    arrays indexed by trial; ``truth(t)`` is trial t's slice of them."""
 
     values: np.ndarray      # (T, L, N); values[t] is trial t's corpus, stored column by column
     templates: np.ndarray   # (T, L)
@@ -254,10 +258,8 @@ class Batch:
     blocks: BlockStructure
 
     def truth(self, t: int) -> GroundTruth:
-        sigmas = self.sigmas
-        return GroundTruth(template=self.templates[t],
-                           noise_loci=tuple(self.loci[t].tolist()),
-                           column_perms=tuple(sigmas[i] for i in self.perm_index[t].tolist()),
+        return GroundTruth(template=self.templates[t], noise_loci=self.loci[t],
+                           sigmas=self.sigmas, perm_index=self.perm_index[t],
                            blocks=self.blocks)
 
 

@@ -187,15 +187,9 @@ def all_perms(n: int):
     return (tuple(p) for p in itertools.permutations(range(n)))
 
 
-def coherent_block_table(sigmas: Sequence[Sequence[int]], blocks: BlockStructure):
-    """The coherent block permutations of a sequence of block-level
-    permutations as one gather table: ``(table, index)`` with ``table`` an
-    (S, L) int array, one row per distinct sigma in order of first
-    appearance, and ``table[index[n]]`` the coherent block permutation of
-    ``sigmas[n]``."""
-    rows = {s: i for i, s in enumerate(dict.fromkeys(sigmas))}
-    index = np.fromiter(map(rows.__getitem__, sigmas), dtype=np.intp,
-                        count=len(sigmas))
-    table = np.array([coherent_block_permutation(s, blocks) for s in rows],
-                     dtype=np.intp).reshape(len(rows), blocks.total)
-    return table, index
+def coherent_block_table(sigmas: Sequence[Sequence[int]], blocks: BlockStructure) -> np.ndarray:
+    """The coherent block permutations of the distinct block-level
+    permutations ``sigmas`` as one (S, L) gather table: row i is the
+    coherent block permutation of ``sigmas[i]``."""
+    return np.array([coherent_block_permutation(s, blocks) for s in sigmas],
+                    dtype=np.intp).reshape(len(sigmas), blocks.total)

@@ -18,3 +18,8 @@ def row_partition(row):
     for col, value in enumerate(row.tolist()):
         groups.setdefault(value, []).append(col)
     return tuple(tuple(cols) for cols in groups.values())
+
+
+def column_sigmas(truth):
+    """Oracle: each column's block-level permutation, as a list of tuples."""
+    return [truth.sigmas[i] for i in truth.perm_index.tolist()]

@@ -146,6 +146,29 @@ def test_usage_errors(tmp_path, capsys):
                              (dict(doc, noise_loci=[6]), "do not fit block lengths"),
                              (dict(doc, column_perms=[[1, 2, 3]] * 4),
                               "do not fit block lengths"),
+                             # every entry, and q, must be a JSON integer
+                             (dict(doc, block_lengths=[2.7, 3]), "malformed truth sidecar"),
+                             (dict(doc, noise_loci=[1.5]), "malformed truth sidecar"),
+                             (dict(doc, noise_loci=[True]), "malformed truth sidecar"),
+                             (dict(doc, template=doc["template"][:4] + [False]),
+                              "malformed truth sidecar"),
+                             (dict(doc, column_perms=[["1", "2"]] * 4),
+                              "malformed truth sidecar"),
+                             (dict(doc, column_perms=[[True, 2]] + doc["column_perms"][1:]),
+                              "malformed truth sidecar"),
+                             (dict(doc, column_perms=[[1, 2], [1.0, 2.0], [2, 1], [2, 1]]),
+                              "malformed truth sidecar"),
+                             (dict(doc, column_perms=[12, 21, 12, 21]), "malformed truth sidecar"),
+                             (dict(doc, q=16.0), "malformed truth sidecar"),
+                             (dict(doc, q="16"), "malformed truth sidecar"),
+                             (dict(doc, q=True), "malformed truth sidecar"),
+                             (dict(doc, template=[2 ** 70] * 5), "malformed truth sidecar"),
+                             (dict(doc, column_perms=[[1, 1]] * 4), "not a permutation"),
+                             # ragged permutation rows
+                             (dict(doc, column_perms=[[1, 2], [2, 1, 3], [1, 2], [2, 1]]),
+                              "do not fit block lengths"),
+                             (dict(doc, column_perms=[[1], [2, 1], [1, 2], [2, 1]]),
+                              "do not fit block lengths"),
                              (short, "describes 2 records of length 5, "
                                      "corpus has 4 of length 5"),
                              (longer, "describes 4 records of length 6, "

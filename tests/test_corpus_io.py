@@ -171,8 +171,9 @@ def test_truth_round_trip(tmp_path):
     loaded, q = load_truth(path)
     assert q == 5
     assert np.array_equal(loaded.template, truth.template)
-    assert loaded.noise_loci == truth.noise_loci
-    assert loaded.column_perms == truth.column_perms
+    assert np.array_equal(loaded.noise_loci, truth.noise_loci)
+    assert loaded.sigmas == truth.sigmas
+    assert np.array_equal(loaded.perm_index, truth.perm_index)
     assert loaded.blocks == truth.blocks
     # sidecar is 1-based on disk
     doc = json.loads(path.read_text())
@@ -190,21 +191,27 @@ def test_report_round_trip(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), m=st.integers(1, 4), q=st.integers(2, 2 ** 32),
+@given(data=st.data(), m=st.integers(1, 6), q=st.integers(2, 2 ** 32),
        n=st.integers(0, 12))
 def test_truth_sidecar_matches_json_dumps(data, m, q, n):
     # The sidecar is written without the json encoder; it must still be
     # exactly what json.dumps(doc, indent=2) produces, empty lists included.
+    # It loads back as equal arrays: the distinct sigmas sorted, as the
+    # generator sorts them.
     blocks = BlockStructure(data.draw(st.tuples(*[st.integers(1, 5)] * m)))
     template = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=blocks.total,
                                            max_size=blocks.total)), dtype=np.int64)
-    loci = tuple(sorted(data.draw(st.sets(st.integers(0, blocks.total - 1)))))
-    perms = tuple(data.draw(st.lists(st.sampled_from(list(all_perms(m))),
-                                     min_size=n, max_size=n)))
-    truth = GroundTruth(template=template, noise_loci=loci, column_perms=perms,
-                        blocks=blocks)
+    loci = np.array(sorted(data.draw(st.sets(st.integers(0, blocks.total - 1)))),
+                    dtype=np.intp)
+    pool = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                              max_size=4, unique=True))
+    perms = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    sigmas = tuple(sorted(set(perms)))
+    perm_index = np.array([sigmas.index(p) for p in perms], dtype=np.intp)
+    truth = GroundTruth(template=template, noise_loci=loci, sigmas=sigmas,
+                        perm_index=perm_index, blocks=blocks)
     doc = {"q": q, "block_lengths": list(blocks.lengths),
-           "template": template.tolist(), "noise_loci": [l + 1 for l in loci],
+           "template": template.tolist(), "noise_loci": (loci + 1).tolist(),
            "column_perms": [list(to_one_line(p)) for p in perms]}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "truth.json"
@@ -213,4 +220,7 @@ def test_truth_sidecar_matches_json_dumps(data, m, q, n):
         loaded, loaded_q = load_truth(path)
     assert loaded_q == q
     assert np.array_equal(loaded.template, template)
-    assert (loaded.noise_loci, loaded.column_perms, loaded.blocks) == (loci, perms, blocks)
+    assert loaded.sigmas == sigmas and loaded.blocks == blocks
+    assert np.array_equal(loaded.perm_index, perm_index)
+    assert np.array_equal(loaded.noise_loci, loci)
+    assert loaded.perm_index.shape == (n,) and loaded.noise_loci.dtype == np.intp

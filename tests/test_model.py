@@ -3,6 +3,7 @@ straight-line reimplementation used as an oracle."""
 
 import numpy as np
 import pytest
+from conftest import column_sigmas
 from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.model import (
@@ -58,8 +59,9 @@ def test_determinism():
     c1, t1 = generate(params)
     c2, t2 = generate(params)
     assert np.array_equal(c1.values, c2.values)
-    assert t1.noise_loci == t2.noise_loci
-    assert t1.column_perms == t2.column_perms
+    assert np.array_equal(t1.noise_loci, t2.noise_loci)
+    assert t1.sigmas == t2.sigmas
+    assert np.array_equal(t1.perm_index, t2.perm_index)
     assert np.array_equal(t1.template, t2.template)
 
 
@@ -74,10 +76,12 @@ def test_ground_truth_shapes():
     _, truth = generate(params)
     assert len(truth.template) == 10
     assert len(truth.noise_loci) == params.noise_count
-    assert len(truth.column_perms) == 8
-    assert truth.noise_loci == tuple(sorted(truth.noise_loci))
+    assert truth.perm_index.shape == (8,)
+    assert truth.noise_loci.tolist() == sorted(truth.noise_loci.tolist())
+    assert truth.sigmas == ((0, 1), (1, 0))
     # exactly the configured number of swapped columns
-    assert len(truth.swapped_columns) == params.shuffled_count
+    assert truth.swapped.dtype == bool and truth.swapped.shape == (8,)
+    assert truth.swapped.sum() == params.shuffled_count
 
 
 def test_restricted_prefix_avoids_block_starts():
@@ -142,8 +146,8 @@ def test_generate_against_straight_line_reimplementation():
         3, (2, 4), 4, 3, 2, make_rng(77))
     assert np.array_equal(corpus.values, expected)
     assert np.array_equal(truth.template, template)
-    assert list(truth.noise_loci) == loci
-    assert list(truth.column_perms) == perms
+    assert truth.noise_loci.tolist() == loci
+    assert column_sigmas(truth) == perms
 
     for q, lengths, n, lam, nu, trials in [(3, (2, 4), 4, 0.5, 0.5, 5),
                                            (7, (40, 60), 700, 0.3, 0.4, 3),
@@ -159,8 +163,8 @@ def test_generate_against_straight_line_reimplementation():
             truth = batch.truth(t)
             assert np.array_equal(batch.values[t], expected)
             assert np.array_equal(truth.template, template)
-            assert list(truth.noise_loci) == loci
-            assert list(truth.column_perms) == perms
+            assert truth.noise_loci.tolist() == loci
+            assert column_sigmas(truth) == perms
 
 
 def test_noise_values_roughly_uniform():
@@ -168,12 +172,24 @@ def test_noise_values_roughly_uniform():
                          noise_fraction=0.8, shuffle=0.0, seed=21)
     corpus, truth = generate(params)
     # with no shuffling, noisy positions are template + uniform increments
-    loci = list(truth.noise_loci)
+    loci = truth.noise_loci
     deltas = (corpus.values[loci] - truth.template[loci, None]) % 4
     counts = np.bincount(deltas.ravel(), minlength=4)
     expected = deltas.size / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 16.27  # chi-square 3 dof, p = 0.001
+
+
+@pytest.mark.parametrize("dtype, q, bad", [(np.int64, 256, 256), (np.int64, 256, -1),
+                                           (np.uint16, 256, 256), (np.uint16, 256, 65535),
+                                           (np.uint8, 200, 200), (np.int8, 256, -1),
+                                           (np.uint32, 2 ** 16, 2 ** 16)])
+def test_range_check_where_the_dtype_can_exceed_q(dtype, q, bad):
+    values = np.zeros((3, 4), dtype=dtype)
+    ShuffledCorpus(values=values, q=q)
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match=r"outside \[0, q\)"):
+        ShuffledCorpus(values=values, q=q)
 
 
 def test_corpus_validation_and_unshuffle():
@@ -183,12 +199,11 @@ def test_corpus_validation_and_unshuffle():
         ShuffledCorpus(values=np.zeros(3, dtype=int), q=3)
     params = two_block_params()
     corpus, truth = generate(params)
-    table, index = coherent_block_table(truth.column_perms, truth.blocks)
+    table = coherent_block_table(truth.sigmas, truth.blocks)
     restored = np.empty_like(corpus.values)
-    restored[table[index].T, np.arange(8)] = corpus.values
+    restored[table[truth.perm_index].T, np.arange(8)] = corpus.values
     # undoing the shuffle leaves noisy copies of the template
-    loci = set(truth.noise_loci)
-    clean = [l for l in range(10) if l not in loci]
+    clean = np.setdiff1d(np.arange(10), truth.noise_loci)
     assert np.array_equal(restored[clean],
                           np.repeat(truth.template[clean, None], 8, axis=1))
 
@@ -196,12 +211,11 @@ def test_corpus_validation_and_unshuffle():
 def test_column_cbps_match_perms():
     params = two_block_params()
     _, truth = generate(params)
-    table, index = coherent_block_table(truth.column_perms, truth.blocks)
-    # one table row per distinct sigma, in order of first appearance
-    assert table.shape == (2, 10) and index[0] == 0
-    for sigma, row in zip(truth.column_perms, index):
-        assert tuple(table[row].tolist()) == \
-            coherent_block_permutation(sigma, truth.blocks)
+    table = coherent_block_table(truth.sigmas, truth.blocks)
+    # one table row per distinct sigma, in the order of sigmas
+    assert table.shape == (2, 10)
+    for sigma, row in zip(column_sigmas(truth), table[truth.perm_index]):
+        assert tuple(row.tolist()) == coherent_block_permutation(sigma, truth.blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,9 +248,15 @@ def test_batch_equals_successive_generate_calls(data, q, m, n, lam, prefix, frac
         corpus, truth = generate(params, rng)
         assert np.array_equal(batch.values[t], corpus.values)
         assert np.array_equal(batch.templates[t], truth.template)
-        assert tuple(batch.loci[t].tolist()) == truth.noise_loci
-        assert tuple(batch.sigmas[i] for i in batch.perm_index[t]) == truth.column_perms
-        assert batch.truth(t).column_perms == truth.column_perms
+        assert np.array_equal(batch.loci[t], truth.noise_loci)
+        assert batch.sigmas == truth.sigmas
+        assert np.array_equal(batch.perm_index[t], truth.perm_index)
+        sliced = batch.truth(t)
+        assert np.array_equal(sliced.template, truth.template)
+        assert np.array_equal(sliced.noise_loci, truth.noise_loci)
+        assert np.array_equal(sliced.perm_index, truth.perm_index)
+        # every distinct sigma of the batch labels some column of each trial
+        assert set(truth.perm_index.tolist()) == set(range(len(truth.sigmas)))
     # The batch drew exactly as much of the stream as the successive calls.
     tail = make_rng(seed)
     generate_batch(params, trials, tail)

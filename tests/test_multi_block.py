@@ -1,11 +1,15 @@
 """M-block unshuffling: alignment, boundary detection, and full recovery."""
 
+import json
+
 import numpy as np
 import pytest
+from conftest import column_sigmas
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
+from unshuffle.cli import cli_main
+from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate, make_rng
 from unshuffle.multi_block import (
     AlignConfig,
     MUnshuffleResult,
@@ -220,7 +224,7 @@ def m_block_recovery_oracle(result, truth):
     if sorted(result.lengths) != sorted(truth.blocks.lengths):
         return False
     frames = {compose(coherent_block_permutation(sigma, truth.blocks), p)
-              for sigma, p in zip(truth.column_perms, result.column_perms)}
+              for sigma, p in zip(column_sigmas(truth), result.column_perms)}
     return len(frames) == 1
 
 
@@ -251,8 +255,12 @@ def recovery_cases(draw):
         block_count=len(lengths), lengths=lengths, column_perms=np.array(perms),
         aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
         trace=(), success=not failed)
-    truth = GroundTruth(template=np.zeros(total, dtype=np.int64), noise_loci=(),
-                        column_perms=sigmas, blocks=blocks)
+    distinct = tuple(sorted(set(sigmas)))
+    truth = GroundTruth(template=np.zeros(total, dtype=np.int64),
+                        noise_loci=np.zeros(0, dtype=np.intp), sigmas=distinct,
+                        perm_index=np.array([distinct.index(s) for s in sigmas],
+                                            dtype=np.intp),
+                        blocks=blocks)
     return result, truth, not (off_frame or other_lengths or failed)
 
 
@@ -264,3 +272,66 @@ def test_m_block_recovery_matches_compose_oracle(case):
     assert m_block_recovery(result, truth) is expected
     if untouched:
         assert expected
+
+
+# The noise-row threshold (ROADMAP open item 1).  At q=256 a noise row of
+# N >= 1200 columns shows fewer distinct values than ceil(N/4), so every
+# noise row counts as structured and the headline corpora stop recovering.
+HEADLINE_LENGTHS = (11, 11, 12, 12, 16, 20)
+HEADLINE_MULT = [16, 8, 8, 4, 4, 4, 4] + [2] * 8 + [1] * 16
+
+
+def headline_pool(rng):
+    """The first 31 distinct permutations of the six blocks that ``rng``
+    draws, as the acceptance criteria and the benchmark draw their pools."""
+    pool = []
+    while len(pool) < len(HEADLINE_MULT):
+        sigma = tuple(int(a) for a in rng.permutation(len(HEADLINE_LENGTHS)))
+        if sigma not in pool:
+            pool.append(sigma)
+    return pool
+
+
+def headline_params(q, seed, factor):
+    """The acceptance criteria's six-block model, column counts times ``factor``."""
+    pool = headline_pool(make_rng(10_000 + seed))
+    return ModelParams(q=q, blocks=BlockStructure(HEADLINE_LENGTHS),
+                       num_messages=sum(HEADLINE_MULT) * factor, noise_fraction=0.5,
+                       shuffle={s: m * factor for s, m in zip(pool, HEADLINE_MULT)},
+                       restricted_prefix=True, seed=seed)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: part_threshold ignores q")
+@pytest.mark.parametrize("factor", [15, 25])   # N = 1200, 2000
+def test_headline_recovery_does_not_degrade_with_n(factor):
+    hits = 0
+    for seed in range(10):
+        corpus, truth = generate(headline_params(256, seed, factor))
+        hits += m_block_recovery(unshuffle_m(corpus), truth)
+    assert hits >= 9, f"only {hits}/10 perfect reconstructions"
+
+
+def six_block_counts(seed, factor):
+    """The benchmark's headline pool (``bench/workloads.py``) as a 1-based
+    ``--perm-counts`` spec, multiplicities times ``factor``."""
+    pool = headline_pool(np.random.default_rng((seed, 0)))
+    return ";".join(",".join(str(a + 1) for a in sigma) + f"={m * factor}"
+                    for sigma, m in zip(pool, HEADLINE_MULT))
+
+
+def test_no_success_that_the_truth_contradicts(tmp_path):
+    # The benchmark's job seed 8000020 (N=1200): blocks 2 and 3 start with
+    # the same template value, and a run that aligns the corpus wrongly must
+    # not report success.
+    seed, factor = 8000020, 15
+    corpus, report = tmp_path / "corpus.bin", tmp_path / "report.json"
+    assert cli_main(["--seed", str(seed), "gen", "--q", "256",
+                     "--lengths", ",".join(map(str, HEADLINE_LENGTHS)),
+                     "--n", str(sum(HEADLINE_MULT) * factor), "--lambda", "0.5",
+                     "--perm-counts", six_block_counts(seed, factor),
+                     "--restricted-prefix", "--out", str(corpus)]) == 0
+    cli_main(["unshuffle", str(corpus), "--record-len", str(sum(HEADLINE_LENGTHS)),
+              "--truth", f"{corpus}.truth.json", "--json-report", str(report)])
+    # A run that raises writes no report, and so reports no success.
+    doc = json.loads(report.read_text()) if report.exists() else {"success": False}
+    assert not doc["success"] or doc["diagnostics"]["recovered"]

@@ -183,14 +183,14 @@ def test_inverse_identities_property_suite():
 
 def test_coherent_block_table():
     blocks = BlockStructure((2, 3, 4))
-    sigmas = [(2, 0, 1), identity(3), (2, 0, 1)] + list(all_perms(3))
-    table, index = coherent_block_table(sigmas, blocks)
-    # one row per distinct sigma, in order of first appearance
-    assert table.shape == (6, 9)
-    assert index.tolist() == [0, 1, 0, 1, 2, 3, 4, 0, 5]
-    assert tuple(table[1].tolist()) == identity(9)
-    for sigma, row in zip(sigmas, index):
-        assert tuple(table[row].tolist()) == coherent_block_permutation(sigma, blocks)
+    sigmas = list(all_perms(3))[::-1]
+    table = coherent_block_table(sigmas, blocks)
+    # one row per sigma, in the order given
+    assert table.shape == (6, 9) and table.dtype == np.intp
+    assert tuple(table[5].tolist()) == identity(9)
+    for sigma, row in zip(sigmas, table):
+        assert tuple(row.tolist()) == coherent_block_permutation(sigma, blocks)
+    assert coherent_block_table((), blocks).shape == (0, 9)
 
 
 def test_subset_sums():

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import row_partition
+from conftest import column_sigmas, row_partition
 from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.model import ModelParams, generate, make_rng
@@ -189,8 +189,8 @@ def conserved_hits_oracle(event, params, trials, rng):
     hits = 0
     for _ in range(trials):
         corpus, truth = generate(params, rng)
-        rows0, rows1 = estimate_conserved_rows(corpus, truth.swapped_columns)
-        noise_free = sorted(set(range(length)) - set(truth.noise_loci))
+        rows0, rows1 = estimate_conserved_rows(corpus, truth.swapped.nonzero()[0])
+        noise_free = sorted(set(range(length)) - set(truth.noise_loci.tolist()))
         if event == "l0_exact":
             hits += list(rows0) == noise_free
         else:
@@ -206,7 +206,7 @@ def prefix_hits_oracle(params, trials, rng):
         corpus, truth = generate(params, rng)
         observed = frozenset(map(frozenset, row_partition(corpus.values[0])))
         by_first_block = {}
-        for col, sigma in enumerate(truth.column_perms):
+        for col, sigma in enumerate(column_sigmas(truth)):
             by_first_block.setdefault(sigma[0], []).append(col)
         induced = frozenset(frozenset(cols) for cols in by_first_block.values())
         hits += observed == induced

@@ -152,8 +152,8 @@ def test_cross_check_with_two_block_solver():
     # shuffle convention differs: hand the sync solver columns it can undo
     # by applying a coherent block permutation directly
     inv_cols = np.empty_like(corpus.values)
-    table, index = coherent_block_table(truth.column_perms, truth.blocks)
-    for j, cbp in enumerate(table[index]):
+    table = coherent_block_table(truth.sigmas, truth.blocks)
+    for j, cbp in enumerate(table[truth.perm_index]):
         inv_cols[:, j] = apply_perm(invert(cbp), corpus.values[:, j])
     assert np.all(inv_cols == inv_cols[:, :1])  # sanity: noiseless
 

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from conftest import row_partition
+from conftest import column_sigmas, row_partition
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.perms import BlockStructure
+from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
+from unshuffle.perms import BlockStructure, identity
 from unshuffle.scoring import two_block_recovery
 from unshuffle.two_block import (
     NotIdentifiableError,
+    TwoUnshuffleResult,
     align_cyclic,
     estimate_conserved_rows,
     estimate_swapped_columns,
@@ -135,9 +136,9 @@ def test_generated_recovery_with_noise():
     # estimated conserved rows include all truly noise-free loci on one side
     # and all shifted noise-free loci on the other (which is which depends on
     # whether column 0 landed in the true swapped set)
-    noise_free = set(range(100)) - set(truth.noise_loci)
+    noise_free = set(range(100)) - set(truth.noise_loci.tolist())
     shifted = {(l - 40) % 100 for l in noise_free}
-    if 0 in truth.swapped_columns:
+    if truth.swapped[0]:
         noise_free, shifted = shifted, noise_free
     assert noise_free <= set(result.conserved_unswapped)
     assert shifted <= set(result.conserved_swapped)
@@ -149,17 +150,14 @@ def test_gauge_swap_when_column_zero_is_swapped():
     params = ModelParams(q=5, blocks=BlockStructure((3, 5)), num_messages=6,
                          noise_fraction=0.0, shuffle=0.5, seed=0)
     corpus, truth = generate(params)
-    swapped = list(truth.swapped_columns)
-    if 0 not in swapped:
+    if not truth.swapped[0]:
         # reorder columns to put a swapped one first
-        order = swapped + [n for n in range(6) if n not in swapped]
-        from unshuffle.model import GroundTruth
+        order = np.argsort(~truth.swapped, kind="stable")
         corpus = ShuffledCorpus(values=corpus.values[:, order], q=corpus.q)
-        truth = GroundTruth(template=truth.template,
-                            noise_loci=truth.noise_loci,
-                            column_perms=tuple(truth.column_perms[i] for i in order),
+        truth = GroundTruth(template=truth.template, noise_loci=truth.noise_loci,
+                            sigmas=truth.sigmas, perm_index=truth.perm_index[order],
                             blocks=truth.blocks)
-    assert 0 in truth.swapped_columns
+    assert truth.swapped[0]
     result = unshuffle2(corpus)
     assert 0 not in result.swapped_cols
     assert result.first_block_len == 5  # complement of the true length 3
@@ -174,10 +172,87 @@ def test_alignment_score_bound():
     corpus, truth = generate(params)
     result = unshuffle2(corpus)
     total = truth.blocks.total
-    loci = set(truth.noise_loci)
+    loci = set(truth.noise_loci.tolist())
     shifted_loci = {(l - 10) % total for l in loci}
     untouched = total - len(loci | shifted_loci)
     assert result.score >= untouched
+
+
+def two_block_recovery_oracle(result, truth):
+    """The set check that the masks in ``two_block_recovery`` replaced."""
+    total = truth.blocks.total
+    first_len = truth.blocks.lengths[0]
+    ident = identity(truth.blocks.block_count)
+    true_swapped = {n for n, sigma in enumerate(column_sigmas(truth)) if sigma != ident}
+    loci = set(truth.noise_loci.tolist())
+    n_cols = len(truth.perm_index)
+
+    found_swapped = set(result.swapped_cols)
+    all_rows = set(range(total))
+    loci_unswapped_side = all_rows - set(result.conserved_unswapped)
+    loci_swapped_side = all_rows - set(result.conserved_swapped)
+    shifted_loci = {(l - first_len) % total for l in loci}
+
+    if 0 not in true_swapped:
+        return (found_swapped == true_swapped
+                and result.first_block_len == first_len
+                and loci_unswapped_side == loci
+                and loci_swapped_side == shifted_loci)
+    return (found_swapped == set(range(n_cols)) - true_swapped
+            and result.first_block_len == (total - first_len) % total
+            and loci_unswapped_side == shifted_loci
+            and loci_swapped_side == loci)
+
+
+@st.composite
+def two_block_recovery_cases(draw):
+    """A two-block ground truth, column 0 swapped or not, and the result
+    that recovers it exactly in the solver's gauge (column 0 unswapped);
+    then possibly one column moved across the bipartition, another shift,
+    or one row toggled in either conserved set.  Returns (result, truth,
+    untouched)."""
+    lengths = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    blocks = BlockStructure(lengths)
+    total = blocks.total
+    n_cols = draw(st.integers(1, 10))
+    swapped = draw(arrays(np.bool_, n_cols))
+    loci = np.array(sorted(draw(st.sets(st.integers(0, total - 1)))), dtype=np.intp)
+    truth = GroundTruth(template=np.zeros(total, dtype=np.int64), noise_loci=loci,
+                        sigmas=((0, 1), (1, 0)), perm_index=swapped.astype(np.intp),
+                        blocks=blocks)
+    noise = set(loci.tolist())
+    shifted = {(l - lengths[0]) % total for l in noise}
+    first_len = lengths[0]
+    if swapped[0]:
+        swapped, first_len, noise, shifted = ~swapped, total - first_len, shifted, noise
+    exact = [tuple(np.flatnonzero(swapped).tolist()), first_len,
+             tuple(sorted(set(range(total)) - noise)),
+             tuple(sorted(set(range(total)) - shifted))]
+    fields = list(exact)
+    change = draw(st.sampled_from(["", "column", "shift", "unswapped", "swapped"]))
+    if change == "column":
+        fields[0] = tuple(sorted(set(fields[0]) ^ {draw(st.integers(0, n_cols - 1))}))
+    elif change == "shift":
+        fields[1] = draw(st.integers(0, total))
+    elif change:
+        side = 2 if change == "unswapped" else 3
+        fields[side] = tuple(sorted(set(fields[side]) ^ {draw(st.integers(0, total - 1))}))
+    result = TwoUnshuffleResult(
+        swapped_cols=fields[0], first_block_len=fields[1],
+        conserved_unswapped=fields[2], conserved_swapped=fields[3],
+        aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
+        score=0)
+    return result, truth, fields == exact
+
+
+@settings(deadline=None, max_examples=300)
+@given(two_block_recovery_cases())
+def test_two_block_recovery_matches_set_oracle(case):
+    result, truth, untouched = case
+    expected = two_block_recovery_oracle(result, truth)
+    assert two_block_recovery(result, truth) is expected
+    if untouched:
+        assert expected
 
 
 def vote_oracle(corpus):
