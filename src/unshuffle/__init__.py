@@ -27,7 +27,6 @@ from .partitions import (
 )
 from .two_block import TwoUnshuffleResult, unshuffle2
 from .multi_block import (
-    AlignConfig,
     MUnshuffleResult,
     unshuffle_m,
 )

@@ -34,7 +34,7 @@ from .model import (
     generate,
     make_rng,
 )
-from .multi_block import AlignConfig, AlignmentFailedError, unshuffle_m
+from .multi_block import AlignmentFailedError, unshuffle_m
 from .partitions import partition_profile, profile_to_csv
 from .perms import BlockStructure, all_perms, apply_perm, coherent_block_permutation
 from .probs import MC_EVENTS, monte_carlo
@@ -232,11 +232,9 @@ def _cmd_unshuffle(args) -> int:
     spec = CorpusSpec(source=args.corpus, record_len=args.record_len,
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
-    config = AlignConfig(structured_part_max=args.part_max,
-                         reference_column=args.ref_col)
     truth = _truth_for(args, corpus)
     try:
-        result = unshuffle_m(corpus, config)
+        result = unshuffle_m(corpus)
     except AlignmentFailedError as exc:
         print(f"unshuffle: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
@@ -398,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--truth", type=Path, default=None,
                    help="truth sidecar to score against")
-    p.add_argument("--part-max", type=int, default=None,
-                   help="structured-row partition size cap")
-    p.add_argument("--ref-col", type=int, default=0)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_unshuffle)
 

@@ -159,8 +159,9 @@ def _ints(values, dtype=np.int64) -> np.ndarray:
 def load_truth(path) -> tuple:
     """Returns (GroundTruth, q), with ``sigmas`` sorted as the generator sorts
     them.  A document without the sidecar's fields, with an entry that is not
-    a JSON integer, or whose template, noise loci or permutations do not fit
-    its block lengths, raises ValueError."""
+    a JSON integer, whose template, noise loci or permutations do not fit its
+    block lengths, whose template leaves [0, q), or whose noise loci do not
+    increase strictly, raises ValueError."""
     doc = json.loads(Path(path).read_text())
     try:
         q = int(_ints([doc["q"]])[0])
@@ -176,6 +177,9 @@ def load_truth(path) -> tuple:
             or not np.all((noise_loci >= 0) & (noise_loci < blocks.total))):
         raise ValueError(f"malformed truth sidecar {path}: template, noise loci "
                          f"or permutations do not fit block lengths {blocks.lengths}")
+    if not (np.all((template >= 0) & (template < q)) and np.all(np.diff(noise_loci) > 0)):
+        raise ValueError(f"malformed truth sidecar {path}: template values must lie "
+                         f"in [0, {q}) and noise loci must increase strictly")
     distinct, perm_index = np.unique(entries.reshape(len(rows), blocks.block_count),
                                      axis=0, return_inverse=True)
     return GroundTruth(template=template, noise_loci=noise_loci,

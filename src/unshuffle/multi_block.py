@@ -27,27 +27,13 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import distinct_counts, sorted_rows
+from .probs import occupancy
+
+NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
 
 
 class AlignmentFailedError(RuntimeError):
     """Round-one alignment produced no conserved leading row."""
-
-
-@dataclass(frozen=True)
-class AlignConfig:
-    structured_part_max: Optional[int] = None  # boundary threshold; default ceil(N/4)
-    reference_column: int = 0
-
-    def __post_init__(self):
-        if self.reference_column < 0:
-            raise ValueError("reference column must be nonnegative")
-        if self.structured_part_max is not None and self.structured_part_max < 1:
-            raise ValueError("structured part max must be at least 1")
-
-    def part_threshold(self, n_cols: int) -> int:
-        if self.structured_part_max is not None:
-            return self.structured_part_max
-        return math.ceil(n_cols / 4)
 
 
 @dataclass(frozen=True)
@@ -100,18 +86,16 @@ def lex_best_shifts(ref: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
     return shifts
 
 
-def weighted_shift_align(corpus: ShuffledCorpus, ref_col: int) -> np.ndarray:
+def weighted_shift_align(corpus: ShuffledCorpus) -> np.ndarray:
     """Per-column circular shift maximizing the geometrically weighted match
-    count against the reference column (the lexicographic maximum of the
+    count against the reference column 0 (the lexicographic maximum of the
     per-row match vector); the reference's own shift is 0."""
     if corpus.n_rows < 1 or corpus.n_cols < 1:
         raise ValueError("empty corpus")
-    if ref_col >= corpus.n_cols:
-        raise ValueError(f"reference column {ref_col} outside [0, {corpus.n_cols})")
-    return lex_best_shifts(corpus.values[:, ref_col], corpus.values)
+    return lex_best_shifts(corpus.values[:, 0], corpus.values)
 
 
-def detect_block_boundary(corpus: ShuffledCorpus, config: AlignConfig) -> int:
+def detect_block_boundary(corpus: ShuffledCorpus, threshold: int) -> int:
     """Rows of an aligned corpus classified by partition size: conserved
     (size 1), noise (size above the threshold), structured (in between).
     Returns the number of rows before the first structured row, i.e. the
@@ -120,7 +104,7 @@ def detect_block_boundary(corpus: ShuffledCorpus, config: AlignConfig) -> int:
     if corpus.n_rows < 1:
         raise ValueError("empty corpus")
     sizes = distinct_counts(corpus.values)
-    structured = (sizes >= 2) & (sizes <= config.part_threshold(corpus.n_cols))
+    structured = (sizes >= 2) & (sizes <= threshold)
     return int(np.argmax(structured)) if structured.any() else corpus.n_rows
 
 
@@ -179,14 +163,15 @@ def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
             values[:, cols] = np.roll(values[:, cols], -s, axis=0)
 
 
-def unshuffle_m(corpus: ShuffledCorpus,
-                config: AlignConfig = AlignConfig()) -> MUnshuffleResult:
+def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     """Iterate align + truncate until the rows are exhausted.  Each round
     rotates the row suffix of every column; the rotations accumulate in one
     (L, N) index array whose column k is column k's permutation of the full
     record; the result's ``column_perms`` is its (N, L) transposed view."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
+    noise_mean = occupancy(max(2, corpus.q), n_cols)[0]
+    threshold = min(math.ceil(n_cols / 4), max(2, math.floor(noise_mean / 2)))
     working = corpus.values.copy()
     rows = np.arange(total, dtype=np.min_scalar_type(total))  # small: it lives as long as working
     index = np.repeat(rows[:, None], n_cols, axis=1)
@@ -198,12 +183,12 @@ def unshuffle_m(corpus: ShuffledCorpus,
     while start < total:
         rem = total - start
         sub = ShuffledCorpus(values=working[start:], q=corpus.q)
-        shifts = weighted_shift_align(sub, config.reference_column)
+        shifts = weighted_shift_align(sub)
         _roll_columns(working[start:], shifts)
         shifts = (shifts + _repair_outliers(working[start:])) % rem
         _roll_columns(index[start:], shifts)
         boundary = detect_block_boundary(
-            ShuffledCorpus(values=working[start:], q=corpus.q), config)
+            ShuffledCorpus(values=working[start:], q=corpus.q), threshold)
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:
@@ -227,6 +212,13 @@ def unshuffle_m(corpus: ShuffledCorpus,
             continue
         lengths.append(boundary)
         start += boundary
+    sizes = distinct_counts(working)
+    symbols = (np.count_nonzero(np.bincount(working.ravel())) if working.dtype.itemsize <= 2
+               else len(np.unique(working)))
+    mean, sd = occupancy(max(2, min(corpus.q, int(symbols))), n_cols)
+    mixed = np.flatnonzero((sizes > 1) & (sizes - mean < NOISE_Z_MIN * sd))
+    if success and len(mixed):
+        success, reason = False, f"row {mixed[0]} mixes conserved and noisy columns"
     return MUnshuffleResult(block_count=len(lengths), lengths=tuple(lengths),
                             column_perms=index.T,
                             aligned=ShuffledCorpus(values=working, q=corpus.q),

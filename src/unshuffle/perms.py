@@ -190,6 +190,11 @@ def all_perms(n: int):
 def coherent_block_table(sigmas: Sequence[Sequence[int]], blocks: BlockStructure) -> np.ndarray:
     """The coherent block permutations of the distinct block-level
     permutations ``sigmas`` as one (S, L) gather table: row i is the
-    coherent block permutation of ``sigmas[i]``."""
-    return np.array([coherent_block_permutation(s, blocks) for s in sigmas],
-                    dtype=np.intp).reshape(len(sigmas), blocks.total)
+    coherent block permutation of ``sigmas[i]``.  Output block m of row i
+    is input block sigmas[i][m], so position a there reads position a plus
+    that block's start less the output block's start."""
+    sigmas = np.array(sigmas, dtype=np.intp).reshape(len(sigmas), blocks.block_count)
+    lengths = np.array(blocks.lengths)[sigmas]
+    offsets = np.array(blocks.block_starts)[sigmas] - (np.cumsum(lengths, axis=1) - lengths)
+    return (np.repeat(offsets.ravel(), lengths.ravel()).reshape(len(sigmas), blocks.total)
+            + np.arange(blocks.total))

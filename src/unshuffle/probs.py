@@ -117,6 +117,18 @@ def prefix_partition_prob(q: int, k: int) -> tuple:
     return exact, math.exp(-k * k / (2.0 * q))
 
 
+def occupancy(q: int, n: int) -> tuple:
+    """Exact mean and standard deviation of the number of distinct values
+    among n uniform draws from q symbols; (1 - 2/q)**n - a**2, a = (1 - 1/q)**n,
+    is taken as a**2 expm1(n log(1 - 1/(q - 1)**2)) to keep its precision."""
+    if q < 2 or n < 0:
+        raise ValueError("need an alphabet of at least 2 and a nonnegative draw count")
+    a = math.exp(n * math.log1p(-1.0 / q))
+    pair = -a * a if q == 2 else a * a * math.expm1(n * math.log1p(-1.0 / (q - 1) ** 2))
+    variance = q * a * -math.expm1(n * math.log1p(-1.0 / q)) + q * (q - 1) * pair
+    return q * (1.0 - a), math.sqrt(max(variance, 0.0))
+
+
 def prefix_partition_closed(params: ModelParams) -> float:
     """Exact probability that row 0 splits the columns as their first blocks
     do, in the model ``params`` describes.

@@ -132,9 +132,9 @@ def test_usage_errors(tmp_path, capsys):
     corpus = tmp_path / "m.bin"
     assert run("--seed", 1, "gen", "--q", 16, "--lengths", "2,3", "--n", 4,
                "--perm-counts", "1,2=2;2,1=2", "--out", corpus) == 0
-    assert run("unshuffle", corpus, "--record-len", 5, "--ref-col", 4) == 2
-    assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 0) == 2
-    assert run("unshuffle", corpus, "--record-len", 5, "--part-max", -3) == 2
+    # the noise threshold and the reference column are not options
+    assert run("unshuffle", corpus, "--record-len", 5, "--ref-col", 0) == 2
+    assert run("unshuffle", corpus, "--record-len", 5, "--part-max", 3) == 2
     assert run("unshuffle", corpus, "--record-len", 5, "--weight-base", 2) == 2
     # A truth sidecar must be a sidecar document that covers the corpus.
     doc = json.loads((tmp_path / "m.bin.truth.json").read_text())
@@ -164,6 +164,11 @@ def test_usage_errors(tmp_path, capsys):
                              (dict(doc, q=True), "malformed truth sidecar"),
                              (dict(doc, template=[2 ** 70] * 5), "malformed truth sidecar"),
                              (dict(doc, column_perms=[[1, 1]] * 4), "not a permutation"),
+                             # template values in [0, q), noise loci strictly increasing
+                             (dict(doc, template=[16, 0, 0, 0, 0]), "must lie in [0, 16)"),
+                             (dict(doc, template=[0, -1, 0, 0, 0]), "must lie in [0, 16)"),
+                             (dict(doc, noise_loci=[3, 3]), "must increase strictly"),
+                             (dict(doc, noise_loci=[3, 1]), "must increase strictly"),
                              # ragged permutation rows
                              (dict(doc, column_perms=[[1, 2], [2, 1, 3], [1, 2], [2, 1]]),
                               "do not fit block lengths"),

@@ -1,11 +1,14 @@
 """Guard against regrowth: every name the package exports has a caller in
 the library itself or in the acceptance criteria, not only in unit tests;
-and the benchmark tracer still finds the names it wraps."""
+and the benchmark tracer still finds the names it wraps, and its counters
+still read what the solvers pass and return."""
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
+
+from unshuffle.cli import cli_main
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "unshuffle"
@@ -42,13 +45,26 @@ STALE_TRACER_NAMES = {
 }
 
 
-def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch):
-    # A renamed or removed call site would silently zero a per-layer metric.
+def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch, tmp_path):
+    # A renamed or removed call site would silently zero a per-layer metric,
+    # and a changed signature would break a counter only in traced runs.
     spec = importlib.util.spec_from_file_location(
         "bench_spans", TESTS.parent / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
     spec.loader.exec_module(spans)
+    m_block, two_block = tmp_path / "m.bin", tmp_path / "two.bin"
     with spans.Tracer() as tracer:
-        pass
+        assert cli_main(["--seed", "4", "gen", "--q", "256", "--lengths", "5,7,8",
+                         "--n", "40", "--lambda", "0.3",
+                         "--perm-counts", "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8",
+                         "--restricted-prefix", "--out", str(m_block)]) == 0
+        assert cli_main(["unshuffle", str(m_block), "--record-len", "20",
+                         "--truth", f"{m_block}.truth.json"]) == 0
+        assert cli_main(["--seed", "1", "gen", "--q", "3", "--lengths", "40,60",
+                         "--n", "80", "--lambda", "0.5", "--nu", "0.3",
+                         "--out", str(two_block)]) == 0
+        assert cli_main(["unshuffle2", str(two_block), "--record-len", "100"]) == 0
     assert set(tracer.absent) <= STALE_TRACER_NAMES
+    assert tracer.counters["multi_block.rounds"] > 0
+    assert tracer.counters["multi_block.columns_aligned"] > 0

@@ -61,7 +61,7 @@ def two_block_outputs(tmp_path, seed, q, lengths, n, lam, nu, word_bytes=None):
             "unshuffle2_exit": code}
 
 
-def m_block_outputs(tmp_path, seed, perm_counts, part_max):
+def m_block_outputs(tmp_path, seed, perm_counts):
     corpus = tmp_path / "m.bin"
     truth = tmp_path / "m.bin.truth.json"
     assert run("--seed", seed, "gen", "--q", 256, "--lengths", "5,7,8",
@@ -69,9 +69,8 @@ def m_block_outputs(tmp_path, seed, perm_counts, part_max):
                "--restricted-prefix", "--out", corpus) == 0
     aligned = tmp_path / "aligned.bin"
     solve_report = tmp_path / "unshuffle.json"
-    extra = ("--part-max", part_max) if part_max is not None else ()
     code = run("unshuffle", corpus, "--record-len", 20, "--truth", truth,
-               "--out", aligned, "--json-report", solve_report, *extra)
+               "--out", aligned, "--json-report", solve_report)
     return {"corpus": digest(corpus.read_bytes()),
             "truth": digest(truth.read_bytes()),
             "aligned": digest(aligned.read_bytes()),
@@ -162,10 +161,10 @@ CASES = {
     "two_block_seed3": (two_block_outputs, (3, 3, "5,7", 10, 0.6, 0.5)),
     # 2-byte words holding values above 255, so the uint16 path is pinned.
     "two_block_words2": (two_block_outputs, (9, 1000, "40,60", 80, 0.5, 0.3, 2)),
-    "m_block_seed4": (m_block_outputs, (4, "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8", None)),
-    "m_block_seed5": (m_block_outputs, (5, "1,2,3=20;3,1,2=12;2,1,3=8", 3)),
-    # N=400 recovers; N=1200 fails on the noise-row threshold (a known
-    # defect), which pins the failing trace as well.
+    "m_block_seed4": (m_block_outputs, (4, "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8")),
+    "m_block_seed5": (m_block_outputs, (5, "1,2,3=20;3,1,2=12;2,1,3=8")),
+    # Both recover.  At N=1200 a noise row shows about 254 of q=256 values,
+    # fewer than ceil(N/4) = 300, so the noise threshold is E/2 = 126 there.
     "six_block_n400": (six_block_outputs, (1_000_001, 5)),
     "six_block_n1200": (six_block_outputs, (1_000_002, 15)),
     # q=4096 in 2-byte words: the six-block solver on uint16 values.
@@ -206,11 +205,11 @@ GOLDEN = {
     "six_block_n1200": {
         "corpus": "6d4bc75bc57b0895",
         "truth": "f8e07ad10b5d6f23",
-        "aligned": "3922df122925c660",
-        "unshuffle": "3e2e7c58675b9bbc",
-        "trace": "604dde61cc8ef12b",
-        "failure_reason": "no conserved leading row at row 1; 81 rows unresolved",
-        "unshuffle_exit": 1,
+        "aligned": "9d9cbf6a357e2d55",
+        "unshuffle": "c060f20c8e9ed6c2",
+        "trace": "8f00c8e29eb301b9",
+        "failure_reason": None,
+        "unshuffle_exit": 0,
     },
     "two_block_seed1": {
         "corpus": "0fd3b8a6dcc54779",

@@ -188,9 +188,17 @@ def test_coherent_block_table():
     # one row per sigma, in the order given
     assert table.shape == (6, 9) and table.dtype == np.intp
     assert tuple(table[5].tolist()) == identity(9)
+    assert coherent_block_table((), blocks).shape == (0, 9)
+
+
+@given(st.data(), st.integers(1, 6))
+def test_coherent_block_table_matches_coherent_block_permutation(data, m):
+    blocks = BlockStructure(data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    sigmas = data.draw(st.lists(st.permutations(range(m)).map(tuple), max_size=8))
+    table = coherent_block_table(sigmas, blocks)
+    assert table.shape == (len(sigmas), blocks.total) and table.dtype == np.intp
     for sigma, row in zip(sigmas, table):
         assert tuple(row.tolist()) == coherent_block_permutation(sigma, blocks)
-    assert coherent_block_table((), blocks).shape == (0, 9)
 
 
 def test_subset_sums():

@@ -9,6 +9,7 @@ from conftest import column_sigmas, row_partition
 from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.model import ModelParams, generate, make_rng
+from unshuffle.partitions import distinct_counts
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import (
     MC_EVENTS,
@@ -17,6 +18,7 @@ from unshuffle.probs import (
     gap_decay,
     l_sets_exact_prob,
     monte_carlo,
+    occupancy,
     p2_closed,
     p_n_closed,
     prefix_partition_closed,
@@ -80,6 +82,30 @@ def test_prefix_partition_prob():
     assert prefix_partition_prob(3, 5)[0] == 0.0
     with pytest.raises(ValueError):
         prefix_partition_prob(4, 0)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 5), (7, 5), (256, 80), (256, 1200),
+                                  (4096, 400)])
+def test_occupancy_matches_monte_carlo(q, n):
+    trials = 2000
+    counts = distinct_counts(make_rng(q * n).integers(0, q, size=(trials, n)))
+    mean, sd = occupancy(q, n)
+    assert abs(counts.mean() - mean) <= 4 * sd / math.sqrt(trials)
+    assert counts.std() == pytest.approx(sd, rel=0.1)
+
+
+def test_occupancy_exact_values():
+    # [DERIVED] two fair bits: one or two distinct values, equally likely.
+    assert occupancy(2, 2) == (1.5, 0.5)
+    assert occupancy(17, 1) == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-6))
+    # With q much larger than n the variance is about the expected number
+    # of colliding pairs, C(n, 2)/q, far below double precision near 1.
+    assert occupancy(2 ** 32, 80)[1] == pytest.approx(math.sqrt(80 * 79 / 2 / 2 ** 32),
+                                                      rel=1e-6)
+    assert occupancy(4, 0) == (0.0, 0.0)
+    for q, n in ((1, 5), (4, -1)):
+        with pytest.raises(ValueError):
+            occupancy(q, n)
 
 
 def stirling2(r, s):
