@@ -2,7 +2,8 @@
 probability verification, a tiny synchronization demo, and a self-test.
 
 Exit codes: 0 on success, 1 when a solver or check declares failure on
-well-formed input, 2 on usage or I/O errors.  All randomness flows from
+well-formed input, 2 on usage or I/O errors.  A command that builds a report
+exits with its report's verdict.  All randomness flows from
 ``--seed``; two invocations with identical flags produce byte-identical
 output files.
 """
@@ -34,7 +35,7 @@ from .model import (
     generate,
     make_rng,
 )
-from .multi_block import AlignmentFailedError, unshuffle_m
+from .multi_block import unshuffle_m
 from .partitions import partition_profile, profile_to_csv
 from .perms import BlockStructure, all_perms, apply_perm, coherent_block_permutation
 from .probs import MC_EVENTS, monte_carlo
@@ -127,12 +128,14 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     _add_report_flag(parser)
 
 
-def _emit(report: Report, args) -> None:
+def _emit(report: Report, args) -> int:
+    """Write and print ``report``; its ``success`` is the exit code."""
     if getattr(args, "json_report", None):
         write_report(report, args.json_report)
     print(f"{report.command}: {'ok' if report.success else 'FAILED'}")
     for key, value in sorted(report.result.items()):
         print(f"  {key}: {value}")
+    return EXIT_OK if report.success else EXIT_SOLVER_FAILURE
 
 
 def _cmd_gen(args) -> int:
@@ -156,8 +159,7 @@ def _cmd_gen(args) -> int:
                 "rows": corpus.n_rows, "cols": corpus.n_cols},
         seed=args.seed,
     )
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def _cmd_analyze(args) -> int:
@@ -177,8 +179,7 @@ def _cmd_analyze(args) -> int:
         diagnostics={"partition_sizes": list(profile.sizes)},
         seed=args.seed,
     )
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def _truth_for(args, corpus):
@@ -213,7 +214,6 @@ def _cmd_unshuffle2(args) -> int:
     diagnostics = {}
     if truth is not None:
         diagnostics["recovered"] = bool(two_block_recovery(result, truth))
-    success = diagnostics.get("recovered", True)
     report = Report(
         command="unshuffle2",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
@@ -221,11 +221,10 @@ def _cmd_unshuffle2(args) -> int:
                 "first_block_len": result.first_block_len,
                 "score": result.score},
         diagnostics=diagnostics,
-        success=success,
+        success=diagnostics.get("recovered", True),
         seed=args.seed,
     )
-    _emit(report, args)
-    return EXIT_OK if success else EXIT_SOLVER_FAILURE
+    return _emit(report, args)
 
 
 def _cmd_unshuffle(args) -> int:
@@ -233,11 +232,7 @@ def _cmd_unshuffle(args) -> int:
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
     truth = _truth_for(args, corpus)
-    try:
-        result = unshuffle_m(corpus)
-    except AlignmentFailedError as exc:
-        print(f"unshuffle: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    result = unshuffle_m(corpus)
     if args.out is not None:
         write_corpus(result.aligned,
                      CorpusSpec(source=args.out, record_len=args.record_len,
@@ -252,13 +247,10 @@ def _cmd_unshuffle(args) -> int:
                 "lengths": list(result.lengths),
                 "failure_reason": result.failure_reason},
         diagnostics=diagnostics,
-        success=result.success,
+        success=result.success and diagnostics.get("recovered", True),
         seed=args.seed,
     )
-    _emit(report, args)
-    if not result.success or diagnostics.get("recovered") is False:
-        return EXIT_SOLVER_FAILURE
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def _cmd_verify_prob(args) -> int:
@@ -276,8 +268,7 @@ def _cmd_verify_prob(args) -> int:
         success=prob_report.agrees,
         seed=args.seed,
     )
-    _emit(report, args)
-    return EXIT_OK if prob_report.agrees else EXIT_SOLVER_FAILURE
+    return _emit(report, args)
 
 
 def _cmd_sync_demo(args) -> int:
@@ -298,8 +289,7 @@ def _cmd_sync_demo(args) -> int:
         success=synchronized,
         seed=args.seed,
     )
-    _emit(report, args)
-    return EXIT_OK if synchronized else EXIT_SOLVER_FAILURE
+    return _emit(report, args)
 
 
 def _selftest_two_block(seeds: int) -> tuple:

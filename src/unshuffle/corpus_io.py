@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -197,7 +197,7 @@ class Report:
     seed: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def write_report(report: Report, path) -> None:

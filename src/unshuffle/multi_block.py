@@ -32,10 +32,6 @@ from .probs import occupancy
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
 
 
-class AlignmentFailedError(RuntimeError):
-    """Round-one alignment produced no conserved leading row."""
-
-
 @dataclass(frozen=True)
 class RoundTrace:
     start_row: int
@@ -192,9 +188,6 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:
-            if start == 0:
-                raise AlignmentFailedError(
-                    "first row still structured after round-one alignment")
             success = False
             reason = f"no conserved leading row at row {start}; {total - start} rows unresolved"
             break

@@ -221,17 +221,30 @@ def test_solver_failure_exit_code(tmp_path):
     assert run("unshuffle2", out, "--record-len", 5) == 1
 
 
-def test_unshuffle2_report_matches_exit_code(tmp_path, capsys):
-    # Few columns: the solver returns a wrong bipartition, which --truth
-    # scoring catches; the report and the printed verdict say so too.
+# Each case's --truth scoring finds the solver's answer wrong; the report
+# and the printed verdict must say so, as the exit code does.
+REPORT_VS_EXIT = {
+    # Few columns: the two-block solver returns a wrong bipartition.
+    "unshuffle2": (("--seed", 3, "gen", "--q", 3, "--lengths", "5,7", "--n", 10,
+                    "--lambda", 0.6, "--nu", 0.5), 12),
+    # Noiseless q=4, every block order twice: repeated template values give
+    # wrong block lengths that no noise row flags, so the solver succeeds.
+    "unshuffle": (("--seed", 2, "gen", "--q", 4, "--lengths", "2,3,4", "--n", 12,
+                   "--perm-counts", "1,2,3=2;1,3,2=2;2,1,3=2;2,3,1=2;3,1,2=2;3,2,1=2",
+                   "--restricted-prefix"), 9),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_VS_EXIT))
+def test_unshuffle2_report_matches_exit_code(tmp_path, capsys, command):
+    gen_argv, record_len = REPORT_VS_EXIT[command]
     out = tmp_path / "c.bin"
-    assert run("--seed", 3, "gen", "--q", 3, "--lengths", "5,7", "--n", 10,
-               "--lambda", 0.6, "--nu", 0.5, "--out", out) == 0
+    assert run(*gen_argv, "--out", out) == 0
     report_path = tmp_path / "r.json"
     capsys.readouterr()
-    assert run("unshuffle2", out, "--record-len", 12, "--truth", f"{out}.truth.json",
+    assert run(command, out, "--record-len", record_len, "--truth", f"{out}.truth.json",
                "--json-report", report_path) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "unshuffle2: FAILED"
+    assert capsys.readouterr().out.splitlines()[0] == f"{command}: FAILED"
     report = json.loads(report_path.read_text())
     assert report["success"] is False and report["diagnostics"]["recovered"] is False
 

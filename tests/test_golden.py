@@ -30,6 +30,12 @@ def report_digest(path) -> str:
     return digest(json.dumps(body, sort_keys=True).encode())
 
 
+def checked_exit(code, path) -> int:
+    """The exit code, once the report at ``path`` agrees with it."""
+    assert json.loads(path.read_text())["success"] == (code == 0)
+    return code
+
+
 def word_flags(word_bytes):
     """``--word-bytes`` for every call, or nothing for the CLI's default."""
     return () if word_bytes is None else ("--word-bytes", word_bytes)
@@ -58,7 +64,7 @@ def two_block_outputs(tmp_path, seed, q, lengths, n, lam, nu, word_bytes=None):
             "analyze": report_digest(analyze_report),
             "aligned": digest(aligned.read_bytes()),
             "unshuffle2": report_digest(solve_report),
-            "unshuffle2_exit": code}
+            "unshuffle2_exit": checked_exit(code, solve_report)}
 
 
 def m_block_outputs(tmp_path, seed, perm_counts):
@@ -75,7 +81,7 @@ def m_block_outputs(tmp_path, seed, perm_counts):
             "truth": digest(truth.read_bytes()),
             "aligned": digest(aligned.read_bytes()),
             "unshuffle": report_digest(solve_report),
-            "unshuffle_exit": code}
+            "unshuffle_exit": checked_exit(code, solve_report)}
 
 
 # The headline six-block setup (restricted prefix, q=256, L=82) with its
@@ -116,7 +122,7 @@ def six_block_outputs(tmp_path, seed, factor, q=256, word_bytes=None):
             "unshuffle": report_digest(solve_report),
             "trace": digest(json.dumps(report["diagnostics"]["trace"]).encode()),
             "failure_reason": report["result"]["failure_reason"],
-            "unshuffle_exit": code}
+            "unshuffle_exit": checked_exit(code, solve_report)}
 
 
 # Monte Carlo settings of acceptance criteria 6 (two-block) and 8 (prefix).
@@ -130,7 +136,8 @@ def verify_prob_outputs(tmp_path, seed, event, flags=MC_TWO_BLOCK, trials=2000):
     report = tmp_path / "prob.json"
     code = run("--seed", seed, "verify-prob", event, *flags,
                "--trials", trials, "--json-report", report)
-    return {"verify_prob": report_digest(report), "verify_prob_exit": code}
+    return {"verify_prob": report_digest(report),
+            "verify_prob_exit": checked_exit(code, report)}
 
 
 def distinguished_prefix_outputs(tmp_path, seed):
@@ -151,7 +158,8 @@ def sync_demo_outputs(tmp_path, seed):
     its bytes are hashed whole."""
     report = tmp_path / "sync.json"
     code = run("--seed", seed, "sync-demo", "--json-report", report)
-    return {"sync_demo": digest(report.read_bytes()), "sync_demo_exit": code}
+    return {"sync_demo": digest(report.read_bytes()),
+            "sync_demo_exit": checked_exit(code, report)}
 
 
 CASES = {

@@ -161,6 +161,36 @@ def test_degenerate_corpora():
         unshuffle_m(ShuffledCorpus(values=np.zeros((3, 0), dtype=np.int64), q=5))
 
 
+def round_one_failure_corpus():
+    """Four records (0,1,2) and four (3,3,3): after round one, row 0 still
+    holds two values, so no leading row is conserved."""
+    values = np.repeat(np.array([[0, 3], [1, 3], [2, 3]]), 4, axis=1)
+    return ShuffledCorpus(values=values, q=4)
+
+
+def test_round_one_failure_is_a_result():
+    result = unshuffle_m(round_one_failure_corpus())
+    assert not result.success
+    assert result.block_count == 0 and result.lengths == ()
+    assert result.failure_reason.startswith("no conserved leading row at row 0")
+    assert [t.boundary for t in result.trace] == [0]
+
+
+def test_round_one_failure_writes_its_report(tmp_path, capsys):
+    corpus = tmp_path / "corpus.bin"
+    write_corpus(round_one_failure_corpus(), CorpusSpec(source=corpus, record_len=3))
+    report, aligned = tmp_path / "report.json", tmp_path / "aligned.bin"
+    capsys.readouterr()
+    assert cli_main(["unshuffle", str(corpus), "--record-len", "3",
+                     "--out", str(aligned), "--json-report", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "unshuffle: FAILED"
+    doc = json.loads(report.read_text())
+    assert doc["success"] is False and doc["result"]["lengths"] == []
+    assert doc["result"]["failure_reason"] == \
+        "no conserved leading row at row 0; 3 rows unresolved"
+    assert load_corpus(CorpusSpec(source=aligned, record_len=3)).values.shape == (3, 8)
+
+
 def test_single_block_corpus():
     params = ModelParams(q=7, blocks=BlockStructure((10,)), num_messages=5,
                          noise_fraction=0.2, shuffle={(0,): 5}, seed=3)
@@ -368,8 +398,8 @@ def test_no_success_that_the_truth_contradicts(tmp_path):
                      "--n", str(sum(HEADLINE_MULT) * factor), "--lambda", "0.5",
                      "--perm-counts", six_block_counts(seed, factor),
                      "--restricted-prefix", "--out", str(corpus)]) == 0
-    cli_main(["unshuffle", str(corpus), "--record-len", str(sum(HEADLINE_LENGTHS)),
-              "--truth", f"{corpus}.truth.json", "--json-report", str(report)])
-    # A run that raises writes no report, and so reports no success.
-    doc = json.loads(report.read_text()) if report.exists() else {"success": False}
+    code = cli_main(["unshuffle", str(corpus), "--record-len", str(sum(HEADLINE_LENGTHS)),
+                     "--truth", f"{corpus}.truth.json", "--json-report", str(report)])
+    doc = json.loads(report.read_text())
     assert not doc["success"] or doc["diagnostics"]["recovered"]
+    assert doc["success"] == (code == 0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.multi_block import AlignmentFailedError, _modal_rows, unshuffle_m
+from unshuffle.multi_block import _modal_rows, unshuffle_m
 from unshuffle.partitions import distinct_counts
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.two_block import (
@@ -42,7 +42,7 @@ def outcome(solve, corpus):
     """The solver's result, or the type and message of what it raised."""
     try:
         return solve(corpus)
-    except (NotIdentifiableError, AlignmentFailedError) as exc:
+    except NotIdentifiableError as exc:
         return type(exc), str(exc)
 
 
@@ -94,10 +94,7 @@ def test_m_block_invariant_to_word_dtype(data, word, q, lengths, counts, lam, se
                          seed=seed)
     wide, narrow = two_layouts(data, generate(params)[0], word)
     assert_same_rows(wide, narrow)
-    a, b = outcome(unshuffle_m, wide), outcome(unshuffle_m, narrow)
-    if isinstance(a, tuple):
-        assert b == a
-        return
+    a, b = unshuffle_m(wide), unshuffle_m(narrow)
     assert (a.block_count, a.lengths, a.trace, a.success, a.failure_reason) == \
         (b.block_count, b.lengths, b.trace, b.success, b.failure_reason)
     assert np.array_equal(a.column_perms, b.column_perms)
