@@ -37,7 +37,7 @@ from .model import (
 )
 from .multi_block import unshuffle_m
 from .partitions import partition_profile, profile_to_csv
-from .perms import BlockStructure, all_perms, apply_perm, coherent_block_permutation
+from .perms import BlockStructure, all_perms, coherent_block_table
 from .probs import MC_EVENTS, monte_carlo
 from .scoring import m_block_recovery, two_block_recovery
 from .sync import (
@@ -309,9 +309,8 @@ def _selftest_partition_maxima() -> bool:
     def all_perm_corpus(lengths, q):
         blocks = BlockStructure(lengths)
         template = np.arange(blocks.total, dtype=np.int64) % q
-        cols = [apply_perm(coherent_block_permutation(s, blocks), template)
-                for s in all_perms(blocks.block_count)]
-        return ShuffledCorpus(values=np.column_stack(cols), q=q)
+        table = coherent_block_table(list(all_perms(blocks.block_count)), blocks)
+        return ShuffledCorpus(values=template[table].T, q=q)
 
     small = partition_profile(all_perm_corpus((3, 5, 6, 7), 21)).max_size
     large = partition_profile(all_perm_corpus((6, 9, 11, 12, 13), 51)).max_size

@@ -30,6 +30,7 @@ from .partitions import distinct_counts, sorted_rows
 from .probs import occupancy
 
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
+REPAIR_PASSES = 2  # outlier-repair rounds per alignment round
 
 
 @dataclass(frozen=True)
@@ -104,24 +105,16 @@ def detect_block_boundary(corpus: ShuffledCorpus, threshold: int) -> int:
     return int(np.argmax(structured)) if structured.any() else corpus.n_rows
 
 
-def _modal_rows(values: np.ndarray):
-    """Per-row most frequent value and its multiplicity; the smallest such
-    value on ties.  One row-wise sort, then run lengths."""
-    n_cols = values.shape[1]
-    ordered = sorted_rows(values)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    flat_starts = np.flatnonzero(starts)
-    runs = np.diff(flat_starts, append=ordered.size)  # a run never spans rows
-    run_rows = flat_starts // n_cols
-    row_first_run = np.flatnonzero(np.diff(run_rows, prepend=-1))
-    counts = np.maximum.reduceat(runs, row_first_run)
-    best = np.flatnonzero(runs == counts[run_rows])
-    best = best[np.diff(run_rows[best], prepend=-1) != 0]  # first (smallest) per row
-    return ordered.ravel()[flat_starts[best]].astype(values.dtype), counts
+def _majority_rows(values: np.ndarray):
+    """Per row, the lower-middle entry of the sorted row and its count: the
+    row's mode and the mode's count wherever one value fills more than half
+    the row (the smallest mode for rows of at most two); elsewhere a count
+    no larger than the mode's."""
+    middle = sorted_rows(values)[:, (values.shape[1] - 1) // 2].astype(values.dtype)
+    return middle, np.count_nonzero(values == middle[:, None], axis=1)
 
 
-def _repair_outliers(aligned: np.ndarray, passes: int = 2) -> np.ndarray:
+def _repair_outliers(aligned: np.ndarray) -> np.ndarray:
     """Fix columns that locked onto a spurious shift.  A misaligned column
     turns otherwise conserved rows into near-unanimous ones, which the
     boundary rule would misread as structure.  Rows where all but a handful
@@ -132,19 +125,19 @@ def _repair_outliers(aligned: np.ndarray, passes: int = 2) -> np.ndarray:
     Rotates the columns of ``aligned`` in place and returns the extra shift
     of each column."""
     size, n_cols = aligned.shape
-    tol = max(1, n_cols // 16)
+    tol = max(1, n_cols // 16)  # under half a row of 3 or more: a trusted row has a majority
     extra = np.zeros(n_cols, dtype=np.intp)
-    for _ in range(passes):
-        modes, counts = _modal_rows(aligned)
+    for _ in range(REPAIR_PASSES):
+        majority, counts = _majority_rows(aligned)
         trusted = np.flatnonzero(counts >= n_cols - tol)
         if len(trusted) == 0:
             break
-        agreement = (aligned[trusted] == modes[trusted, None]).mean(axis=0)
+        agreement = (aligned[trusted] == majority[trusted, None]).mean(axis=0)
         outliers = np.flatnonzero(agreement < 0.7)
         if len(outliers) == 0:
             break
         shifts = np.zeros(n_cols, dtype=np.intp)
-        shifts[outliers] = lex_best_shifts(modes, aligned[:, outliers], trusted)
+        shifts[outliers] = lex_best_shifts(majority, aligned[:, outliers], trusted)
         _roll_columns(aligned, shifts)
         extra = (extra + shifts) % size
     return extra
@@ -183,8 +176,7 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
         _roll_columns(working[start:], shifts)
         shifts = (shifts + _repair_outliers(working[start:])) % rem
         _roll_columns(index[start:], shifts)
-        boundary = detect_block_boundary(
-            ShuffledCorpus(values=working[start:], q=corpus.q), threshold)
+        boundary = detect_block_boundary(sub, threshold)  # sub views the rotated rows
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:

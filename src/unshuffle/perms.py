@@ -15,6 +15,11 @@ on column vectors.  Consequently
     ``apply_perm(compose(p, q), v) == apply_perm(q, apply_perm(p, v))``
 
 with ``compose(p, q)[a] == p[q[a]]``.
+
+The package builds coherent block permutations through one array table,
+:func:`coherent_block_table`.  The operad-composed tuple forms remain as the
+reference that the tests and acceptance criteria check it against (and as
+``sync.objective_trace``'s independent form of the sync objective).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 Perm = tuple  # tuple[int, ...]; a 0-based one-line permutation
+SUBSET_SUM_MAX_BLOCKS = 25  # BlockStructure.subset_sums enumerates 2**M subsets
 
 
 class SizeMismatchError(ValueError):
@@ -116,13 +122,13 @@ class BlockStructure:
             acc += length
         return tuple(starts)
 
-    def subset_sums(self, max_blocks: int = 25) -> tuple:
+    def subset_sums(self) -> tuple:
         """All distinct subset sums of the lengths, sorted ascending.
 
         Enumerates 2**block_count subsets, hence the size guard.
         """
-        if self.block_count > max_blocks:
-            raise ValueError(f"subset-sum enumeration limited to {max_blocks} blocks")
+        if self.block_count > SUBSET_SUM_MAX_BLOCKS:
+            raise ValueError(f"subset-sum enumeration limited to {SUBSET_SUM_MAX_BLOCKS} blocks")
         sums = {0}
         for length in self.lengths:
             sums |= {s + length for s in sums}
@@ -188,11 +194,11 @@ def all_perms(n: int):
 
 
 def coherent_block_table(sigmas: Sequence[Sequence[int]], blocks: BlockStructure) -> np.ndarray:
-    """The coherent block permutations of the distinct block-level
-    permutations ``sigmas`` as one (S, L) gather table: row i is the
-    coherent block permutation of ``sigmas[i]``.  Output block m of row i
-    is input block sigmas[i][m], so position a there reads position a plus
-    that block's start less the output block's start."""
+    """The coherent block permutations of the block-level permutations
+    ``sigmas`` as one (S, L) gather table: row i is the coherent block
+    permutation of ``sigmas[i]``, so rows repeat where sigmas do.  Output
+    block m of row i is input block sigmas[i][m], so position a there reads
+    position a plus that block's start less the output block's start."""
     sigmas = np.array(sigmas, dtype=np.intp).reshape(len(sigmas), blocks.block_count)
     lengths = np.array(blocks.lengths)[sigmas]
     offsets = np.array(blocks.block_starts)[sigmas] - (np.cumsum(lengths, axis=1) - lengths)

@@ -31,7 +31,7 @@ from .perms import (
     apply_perm,
     check_perm,
     coherent_block_permutation,
-    invert,
+    coherent_block_table,
 )
 
 SEARCH_CAP = 10 ** 6  # most assignments brute_force_sync will enumerate
@@ -69,26 +69,23 @@ class PotentialAssignment:
         object.__setattr__(self, "sigmas", tuple(check_perm(s) for s in self.sigmas))
 
 
-def _realigned(instance: SyncInstance, assignment: PotentialAssignment) -> list:
+def _realigned(instance: SyncInstance, assignment: PotentialAssignment) -> np.ndarray:
+    """The (L, N) columns, each permuted by its assigned coherent block
+    permutation: one gather through the sigmas' table."""
     if len(assignment.sigmas) != instance.n_cols:
         raise ValueError("one permutation per column required")
-    cache = {}
-    cols = []
-    for j, sigma in enumerate(assignment.sigmas):
-        if sigma not in cache:
-            cache[sigma] = coherent_block_permutation(sigma, instance.blocks)
-        cols.append(apply_perm(cache[sigma], instance.columns[:, j]))
-    return cols
+    table = coherent_block_table(assignment.sigmas, instance.blocks)
+    return np.take_along_axis(instance.columns, table.T, axis=0)
 
 
 def objective_pairwise(assignment: PotentialAssignment,
                        instance: SyncInstance) -> float:
     """Minus the sum over all column pairs (including self-pairs) of inner
-    products of the realigned embedded columns."""
-    total = np.zeros(instance.length * instance.q)
-    for col in _realigned(instance, assignment):
-        total += instance.embed(col)
-    return -float(total @ total)
+    products of the realigned embedded columns.  The sum of the embedded
+    columns counts each (row, symbol) pair, which is one ``bincount``."""
+    realigned = _realigned(instance, assignment)
+    counts = np.bincount((realigned + instance.q * np.arange(instance.length)[:, None]).ravel())
+    return -float(counts @ counts)
 
 
 def _perm_matrix(p: Perm) -> np.ndarray:
@@ -127,8 +124,8 @@ def objective_with_global_relabel(assignment: PotentialAssignment,
     for every gauge (the sum of embedded columns is just repermuted)."""
     lifted = _lift(check_perm(gauge), instance.q)
     total = np.zeros(instance.length * instance.q)
-    for col in _realigned(instance, assignment):
-        total += apply_perm(lifted, np.asarray(instance.embed(col)))
+    for col in _realigned(instance, assignment).T:
+        total += apply_perm(lifted, instance.embed(col))
     return -float(total @ total)
 
 
@@ -166,15 +163,14 @@ def sample_sync_instance(blocks: BlockStructure, q: int, n_cols: int,
     template = rng.integers(0, q, size=total, dtype=np.int64)
     loci = rng.random(total) < noise_fraction
     sigmas = []
-    cols = np.empty((total, n_cols), dtype=np.int64)
+    noisy = np.repeat(template[:, None], n_cols, axis=1)
     for j in range(n_cols):
-        sigma = tuple(int(a) for a in rng.permutation(blocks.block_count))
-        sigmas.append(sigma)
-        noisy = template.copy()
+        sigmas.append(tuple(int(a) for a in rng.permutation(blocks.block_count)))
         if loci.any():
-            noisy[loci] = (noisy[loci] + rng.integers(0, q, size=int(loci.sum()))) % q
-        cbp = coherent_block_permutation(sigma, blocks)
-        cols[:, j] = apply_perm(invert(cbp), noisy)
+            noisy[loci, j] = (noisy[loci, j] + rng.integers(0, q, size=int(loci.sum()))) % q
+    # column j's position cbp[a] takes noisy position a: the inverse gather
+    cols = np.empty_like(noisy)
+    np.put_along_axis(cols, coherent_block_table(sigmas, blocks).T, noisy, axis=0)
     instance = SyncInstance(columns=cols, q=q, blocks=blocks)
     return instance, template, tuple(sigmas)
 
@@ -183,5 +179,4 @@ def realigned_corpus(instance: SyncInstance,
                      assignment: PotentialAssignment) -> ShuffledCorpus:
     """The instance's columns after applying the assigned coherent block
     permutations; the object the solvers are judged on."""
-    cols = _realigned(instance, assignment)
-    return ShuffledCorpus(values=np.column_stack(cols), q=instance.q)
+    return ShuffledCorpus(values=_realigned(instance, assignment), q=instance.q)

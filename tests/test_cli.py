@@ -115,6 +115,11 @@ def test_sync_demo():
     assert run("--seed", 5, "sync-demo") == 0
 
 
+def test_selftest_quick(capsys):
+    assert run("selftest", "--quick") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest: ok"
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run("bogus-command") == 2
     assert run("unshuffle2", tmp_path / "missing.bin", "--record-len", 10) == 2

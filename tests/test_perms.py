@@ -207,3 +207,9 @@ def test_subset_sums():
     assert len(sums) == 16
     assert sums[0] == 0 and sums[-1] == 21
     assert sums == tuple(sorted(sums))
+
+
+def test_subset_sums_refuses_more_than_25_blocks():
+    assert len(BlockStructure((1,) * 25).subset_sums()) == 26
+    with pytest.raises(ValueError, match="limited to 25 blocks"):
+        BlockStructure((1,) * 26).subset_sums()

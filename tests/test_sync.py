@@ -117,6 +117,29 @@ def test_brute_force_recovers_noiseless():
     assert hits == 20
 
 
+def test_sample_sync_instance_matches_tuple_construction():
+    # [DERIVED] each column built from the same seed with the draws in their
+    # contract order (per column: block order, then noise) and the inverse
+    # tuple permutation.
+    blocks = BlockStructure((2, 3, 4))
+    for seed in range(5):
+        instance, template, sigmas = sample_sync_instance(
+            blocks, q=5, n_cols=6, rng=make_rng(seed), noise_fraction=0.3)
+        rng = make_rng(seed)
+        expected_template = rng.integers(0, 5, size=blocks.total, dtype=np.int64)
+        loci = rng.random(blocks.total) < 0.3
+        assert loci.any() and np.array_equal(template, expected_template)
+        cols, expected_sigmas = [], []
+        for _ in range(6):
+            sigma = tuple(int(a) for a in rng.permutation(3))
+            noisy = template.copy()
+            noisy[loci] = (noisy[loci] + rng.integers(0, 5, size=int(loci.sum()))) % 5
+            cols.append(apply_perm(invert(coherent_block_permutation(sigma, blocks)), noisy))
+            expected_sigmas.append(sigma)
+        assert sigmas == tuple(expected_sigmas)
+        assert np.array_equal(instance.columns, np.column_stack(cols))
+
+
 def test_brute_force_objective_is_minimal():
     rng = make_rng(7)
     instance, _, _ = sample_sync_instance(BlockStructure((2, 2)), q=5,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.multi_block import _modal_rows, unshuffle_m
+from unshuffle.multi_block import _majority_rows, unshuffle_m
 from unshuffle.partitions import distinct_counts
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.two_block import (
@@ -48,8 +48,8 @@ def outcome(solve, corpus):
 
 def assert_same_rows(wide, narrow):
     assert np.array_equal(distinct_counts(wide.values), distinct_counts(narrow.values))
-    wide_modes, wide_counts = _modal_rows(wide.values)
-    narrow_modes, narrow_counts = _modal_rows(narrow.values)
+    wide_modes, wide_counts = _majority_rows(wide.values)
+    narrow_modes, narrow_counts = _majority_rows(narrow.values)
     assert narrow_modes.dtype == narrow.values.dtype
     assert np.array_equal(wide_modes, narrow_modes)
     assert np.array_equal(wide_counts, narrow_counts)
@@ -103,10 +103,10 @@ def test_m_block_invariant_to_word_dtype(data, word, q, lengths, counts, lam, se
 
 
 @pytest.mark.parametrize("word", WORDS)
-def test_modal_rows_ties_at_the_top_of_the_range(word):
+def test_majority_rows_ties_at_the_top_of_the_range(word):
     # [DERIVED] each row holds two values twice each; the smaller one wins,
     # also when the larger is the dtype's maximum.
     top = int(np.iinfo(word).max)
     rows = np.array([[top, 0, top, 0], [top, top - 1, top - 1, top]])
-    modes, counts = _modal_rows(rows.astype(word))
+    modes, counts = _majority_rows(rows.astype(word))
     assert modes.tolist() == [0, top - 1] and counts.tolist() == [2, 2]
