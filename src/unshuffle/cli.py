@@ -217,7 +217,7 @@ def _cmd_unshuffle2(args) -> int:
     report = Report(
         command="unshuffle2",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
-        result={"swapped_cols": [c + 1 for c in result.swapped_cols],
+        result={"swapped_cols": (np.flatnonzero(result.swapped) + 1).tolist(),
                 "first_block_len": result.first_block_len,
                 "score": result.score},
         diagnostics=diagnostics,

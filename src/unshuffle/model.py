@@ -263,16 +263,8 @@ class Batch:
                            blocks=self.blocks)
 
 
-def generate_batch(params: ModelParams, trials: int,
-                   rng: Optional[np.random.Generator] = None) -> Batch:
-    """Draw ``trials`` corpora from one stream, the same stream as ``trials``
-    successive :func:`generate` calls.  With rng=None, a fresh generator is
-    seeded from params.seed."""
-    return Sampler(params).batch(trials, make_rng(params.seed) if rng is None else rng)
-
-
 def generate(params: ModelParams, rng: Optional[np.random.Generator] = None):
     """Draw (corpus, ground truth).  With rng=None, a fresh generator is
     seeded from params.seed."""
-    batch = generate_batch(params, 1, rng)
+    batch = Sampler(params).batch(1, make_rng(params.seed) if rng is None else rng)
     return ShuffledCorpus(values=batch.values[0], q=params.q), batch.truth(0)

@@ -92,17 +92,16 @@ def weighted_shift_align(corpus: ShuffledCorpus) -> np.ndarray:
     return lex_best_shifts(corpus.values[:, 0], corpus.values)
 
 
-def detect_block_boundary(corpus: ShuffledCorpus, threshold: int) -> int:
-    """Rows of an aligned corpus classified by partition size: conserved
-    (size 1), noise (size above the threshold), structured (in between).
-    Returns the number of rows before the first structured row, i.e. the
-    length of the leading fully-aligned block; the full row count if no
-    structured row exists."""
-    if corpus.n_rows < 1:
+def detect_block_boundary(sizes: np.ndarray, threshold: int) -> int:
+    """Rows of an aligned corpus classified by their partition sizes
+    (``distinct_counts``): conserved (size 1), noise (size above the
+    threshold), structured (in between).  Returns the number of rows before
+    the first structured row, i.e. the length of the leading fully-aligned
+    block; the full row count if no structured row exists."""
+    if len(sizes) < 1:
         raise ValueError("empty corpus")
-    sizes = distinct_counts(corpus.values)
     structured = (sizes >= 2) & (sizes <= threshold)
-    return int(np.argmax(structured)) if structured.any() else corpus.n_rows
+    return int(np.argmax(structured)) if structured.any() else len(sizes)
 
 
 def _majority_rows(values: np.ndarray):
@@ -164,6 +163,7 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     working = corpus.values.copy()
     rows = np.arange(total, dtype=np.min_scalar_type(total))  # small: it lives as long as working
     index = np.repeat(rows[:, None], n_cols, axis=1)
+    sizes = np.empty(total, dtype=np.intp)  # a row's size is final once its block is cut
     lengths = []
     trace = []
     start = 0
@@ -171,12 +171,12 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     reason = None
     while start < total:
         rem = total - start
-        sub = ShuffledCorpus(values=working[start:], q=corpus.q)
-        shifts = weighted_shift_align(sub)
+        shifts = weighted_shift_align(ShuffledCorpus(values=working[start:], q=corpus.q))
         _roll_columns(working[start:], shifts)
         shifts = (shifts + _repair_outliers(working[start:])) % rem
         _roll_columns(index[start:], shifts)
-        boundary = detect_block_boundary(sub, threshold)  # sub views the rotated rows
+        sizes[start:] = distinct_counts(working[start:])
+        boundary = detect_block_boundary(sizes[start:], threshold)
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
         if boundary == 0:
@@ -197,7 +197,6 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
             continue
         lengths.append(boundary)
         start += boundary
-    sizes = distinct_counts(working)
     symbols = (np.count_nonzero(np.bincount(working.ravel())) if working.dtype.itemsize <= 2
                else len(np.unique(working)))
     mean, sd = occupancy(max(2, min(corpus.q, int(symbols))), n_cols)

@@ -16,30 +16,22 @@ from .perms import coherent_block_table
 from .two_block import TwoUnshuffleResult
 
 
-def _mask(size: int, items) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[np.asarray(items, dtype=np.intp)] = True
-    return mask
-
-
 def two_block_recovery(result: TwoUnshuffleResult, truth: GroundTruth) -> bool:
     """Exact recovery of the swapped set, the shift, and the noise loci,
     allowing the side swap (result canonicalizes column 0 as unswapped)."""
     total = truth.blocks.total
     first_len = truth.blocks.lengths[0]
     true_swapped = truth.swapped
-    loci = _mask(total, truth.noise_loci)
+    loci = np.isin(np.arange(total), truth.noise_loci)
     shifted_loci = np.roll(loci, -first_len)  # the loci l moved to (l - first_len) % total
     if true_swapped[:1].any():
         # Gauge-swapped: the estimated "swapped" side is the truly unswapped
         # one and the estimated shift is the complementary block length.
         true_swapped, first_len = ~true_swapped, (total - first_len) % total
         loci, shifted_loci = shifted_loci, loci
-    found_swapped = _mask(len(true_swapped), result.swapped_cols)
     return bool(result.first_block_len == first_len
-                and np.array_equal(found_swapped, true_swapped)
-                and np.array_equal(~_mask(total, result.conserved_unswapped), loci)
-                and np.array_equal(~_mask(total, result.conserved_swapped), shifted_loci))
+                and np.array_equal(result.swapped, true_swapped)
+                and np.array_equal(~result.conserved, [loci, shifted_loci]))
 
 
 def m_block_recovery(result: MUnshuffleResult, truth: GroundTruth) -> bool:

@@ -33,18 +33,17 @@ class NotIdentifiableError(RuntimeError):
 
 @dataclass(frozen=True)
 class TwoUnshuffleResult:
-    swapped_cols: tuple          # estimated swapped column set (sorted)
+    swapped: np.ndarray          # (N,) bool, the estimated swapped columns; never column 0
     first_block_len: int         # estimated length of the leading block
-    conserved_unswapped: tuple   # rows constant over the unswapped columns
-    conserved_swapped: tuple     # rows constant over the swapped columns
+    conserved: np.ndarray        # (2, L) bool; row s: rows constant over side s (1 = swapped)
     aligned: ShuffledCorpus
     score: int                   # alignment match count at the chosen shift
 
 
-def estimate_swapped_columns(corpus: ShuffledCorpus) -> tuple:
-    """The most frequently occurring two-part row partition, reported as the
-    side not containing column 0.  Ties break toward the partition first
-    seen at the earliest row."""
+def estimate_swapped_columns(corpus: ShuffledCorpus) -> np.ndarray:
+    """The most frequently occurring two-part row partition, as the (N,)
+    mask of its side not containing column 0.  Ties break toward the
+    partition first seen at the earliest row."""
     if corpus.n_cols < 2:
         raise NotIdentifiableError("need at least two columns")
     values = corpus.values[two_valued_rows(corpus)]
@@ -57,29 +56,25 @@ def estimate_swapped_columns(corpus: ShuffledCorpus) -> tuple:
     counts = Counter(keys)
     top = max(counts.values())
     winner = next(i for i, key in enumerate(keys) if counts[key] == top)
-    return tuple(np.flatnonzero(sides[winner]).tolist())
+    return sides[winner]
 
 
-def _swapped_mask(n_cols: int, swapped_cols) -> np.ndarray:
-    swapped = np.zeros(n_cols, dtype=bool)
-    swapped[list(swapped_cols)] = True
+def estimate_conserved_rows(corpus: ShuffledCorpus, swapped: np.ndarray) -> np.ndarray:
+    """The (2, L) mask of rows constant over the unswapped columns (row 0)
+    and over the swapped columns (row 1), given the (N,) swapped mask.  Each
+    side is compared with its first column on a bool mask, so no side is
+    copied."""
+    values = corpus.values
+    if swapped.shape != (corpus.n_cols,):
+        raise ValueError(f"swapped mask must have shape ({corpus.n_cols},)")
     if not swapped.any() or swapped.all():
         raise ValueError("swapped column set must be nonempty and proper")
-    return swapped
-
-
-def estimate_conserved_rows(corpus: ShuffledCorpus, swapped_cols):
-    """Rows constant over the unswapped columns, and rows constant over the
-    swapped columns.  Each side is compared with its first column on a bool
-    mask, so no side is copied."""
-    values = corpus.values
-    swapped = _swapped_mask(corpus.n_cols, swapped_cols)
-    conserved = []
-    for side in (~swapped, swapped):
+    conserved = np.empty((2, corpus.n_rows), dtype=bool)
+    for row, side in zip(conserved, (~swapped, swapped)):
         same = values == values[:, np.argmax(side), None]
         same |= ~side
-        conserved.append(tuple(np.flatnonzero(same.all(axis=1)).tolist()))
-    return tuple(conserved)
+        same.all(axis=1, out=row)
+    return conserved
 
 
 def align_cyclic(v0: np.ndarray, d0: np.ndarray,
@@ -110,23 +105,15 @@ def unshuffle2(corpus: ShuffledCorpus) -> TwoUnshuffleResult:
     side templates, and corpus realignment.  The aligned corpus has the
     input's dtype and is stored record by record."""
     values = corpus.values
-    swapped_cols = estimate_swapped_columns(corpus)
-    conserved = estimate_conserved_rows(corpus, swapped_cols)
-    defined = np.zeros((2, corpus.n_rows), dtype=bool)
-    for side, rows in enumerate(conserved):
-        defined[side, list(rows)] = True
-    shift, score = align_cyclic(values[:, 0], defined[0],
-                                values[:, swapped_cols[0]], defined[1])
+    swapped = estimate_swapped_columns(corpus)
+    conserved = estimate_conserved_rows(corpus, swapped)
+    shift, score = align_cyclic(values[:, 0], conserved[0],
+                                values[:, np.argmax(swapped)], conserved[1])
     records = values.T
-    swapped = _swapped_mask(corpus.n_cols, swapped_cols)
     out = np.empty(records.shape, dtype=records.dtype)
     out[~swapped] = records[~swapped]
     out[swapped] = np.roll(records[swapped], shift, axis=1)
-    return TwoUnshuffleResult(
-        swapped_cols=tuple(sorted(swapped_cols)),
-        first_block_len=shift,
-        conserved_unswapped=conserved[0],
-        conserved_swapped=conserved[1],
-        aligned=ShuffledCorpus(values=out.T, q=corpus.q),
-        score=score,
-    )
+    return TwoUnshuffleResult(swapped=swapped, first_block_len=shift,
+                              conserved=conserved,
+                              aligned=ShuffledCorpus(values=out.T, q=corpus.q),
+                              score=score)

@@ -66,5 +66,8 @@ def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch, tmp_pat
                          "--out", str(two_block)]) == 0
         assert cli_main(["unshuffle2", str(two_block), "--record-len", "100"]) == 0
     assert set(tracer.absent) <= STALE_TRACER_NAMES
+    # The two-block layers are reached through the names unshuffle2 calls.
+    assert {"two_block.estimate_swapped_columns", "two_block.estimate_conserved_rows",
+            "two_block.align_cyclic"} <= {span.name for span in tracer.spans}
     assert tracer.counters["multi_block.rounds"] > 0
     assert tracer.counters["multi_block.columns_aligned"] > 0

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from unshuffle.model import (
     InfeasibleParamsError,
     ModelParams,
+    Sampler,
     ShuffledCorpus,
     generate,
-    generate_batch,
     make_rng,
 )
 from unshuffle.perms import (
@@ -88,7 +88,7 @@ def test_restricted_prefix_avoids_block_starts():
     blocks = BlockStructure((3, 4, 5))
     params = ModelParams(q=5, blocks=blocks, num_messages=6, noise_fraction=0.5,
                          shuffle={(0, 1, 2): 6}, restricted_prefix=True)
-    batch = generate_batch(params, 1000, make_rng(99))
+    batch = Sampler(params).batch(1000, make_rng(99))
     assert batch.loci.shape == (1000, params.noise_count)
     assert not np.isin(batch.loci, blocks.block_starts).any()
 
@@ -98,7 +98,7 @@ def test_distinguished_prefix_start_values_distinct():
     starts = list(blocks.block_starts)
     params = ModelParams(q=3, blocks=blocks, num_messages=3, noise_fraction=0.4,
                          shuffle={(0, 1, 2): 3}, distinguished_prefix=True)
-    batch = generate_batch(params, 500, make_rng(5))
+    batch = Sampler(params).batch(500, make_rng(5))
     assert all(len(set(row)) == 3 for row in batch.templates[:, starts].tolist())
     assert not np.isin(batch.loci, starts).any()
 
@@ -154,7 +154,7 @@ def test_generate_against_straight_line_reimplementation():
                                            (5, (1, 2), 9, 0.0, 0.2, 4)]:
         params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
                              noise_fraction=lam, shuffle=nu)
-        batch = generate_batch(params, trials, make_rng(5))
+        batch = Sampler(params).batch(trials, make_rng(5))
         assert batch.values.shape == (trials, sum(lengths), n)
         rng = make_rng(5)
         for t in range(trials):
@@ -242,7 +242,7 @@ def test_batch_equals_successive_generate_calls(data, q, m, n, lam, prefix, frac
                          restricted_prefix=prefix == "restricted",
                          distinguished_prefix=prefix == "distinguished")
     assume(params.noise_count <= sum(lengths) - (m if prefix else 0))
-    batch = generate_batch(params, trials, make_rng(seed))
+    batch = Sampler(params).batch(trials, make_rng(seed))
     rng = make_rng(seed)
     for t in range(trials):
         corpus, truth = generate(params, rng)
@@ -259,7 +259,7 @@ def test_batch_equals_successive_generate_calls(data, q, m, n, lam, prefix, frac
         assert set(truth.perm_index.tolist()) == set(range(len(truth.sigmas)))
     # The batch drew exactly as much of the stream as the successive calls.
     tail = make_rng(seed)
-    generate_batch(params, trials, tail)
+    Sampler(params).batch(trials, tail)
     assert tail.integers(0, 2 ** 62, size=4).tolist() == rng.integers(0, 2 ** 62, size=4).tolist()
 
 

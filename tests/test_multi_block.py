@@ -19,6 +19,7 @@ from unshuffle.multi_block import (
     unshuffle_m,
     weighted_shift_align,
 )
+from unshuffle.partitions import distinct_counts
 from unshuffle.perms import (
     BlockStructure,
     all_perms,
@@ -117,8 +118,7 @@ def test_boundary_detection_by_hand():
         [4, 4, 4, 4, 7, 7, 7, 7],
         [0, 1, 2, 3, 4, 5, 6, 7],
     ])
-    c = ShuffledCorpus(values=values, q=8)
-    assert detect_block_boundary(c, 2) == 2
+    assert detect_block_boundary(distinct_counts(values), 2) == 2
 
 
 @settings(deadline=None)
@@ -131,13 +131,12 @@ def test_boundary_matches_row_loop(values, threshold):
         if 2 <= len(np.unique(values[row])) <= threshold:
             expected = row
             break
-    assert detect_block_boundary(ShuffledCorpus(values=values, q=8), threshold) == expected
+    assert detect_block_boundary(distinct_counts(values), threshold) == expected
 
 
 def test_boundary_no_structured_row():
     values = np.tile(np.array([[2], [5], [1]]), (1, 6))
-    c = ShuffledCorpus(values=values, q=6)
-    assert detect_block_boundary(c, 2) == 3
+    assert detect_block_boundary(distinct_counts(values), 2) == 3
 
 
 def test_noiseless_exhaustive_tiny():

@@ -215,14 +215,15 @@ def conserved_hits_oracle(event, params, trials, rng):
     hits = 0
     for _ in range(trials):
         corpus, truth = generate(params, rng)
-        rows0, rows1 = estimate_conserved_rows(corpus, truth.swapped.nonzero()[0])
+        rows0, rows1 = (side.nonzero()[0].tolist()
+                        for side in estimate_conserved_rows(corpus, truth.swapped))
         noise_free = sorted(set(range(length)) - set(truth.noise_loci.tolist()))
         if event == "l0_exact":
-            hits += list(rows0) == noise_free
+            hits += rows0 == noise_free
         else:
             first_len = params.blocks.lengths[0]
             expected = sorted((l - first_len) % length for l in noise_free)
-            hits += list(rows1) == expected
+            hits += rows1 == expected
     return hits
 
 

@@ -36,9 +36,9 @@ def test_noiseless_hand_case():
     # left by 2; every row is two-valued unless the roll preserves it.
     template = [0, 1, 2, 3, 4, 0]
     c = build(template, n_cols=6, swapped=(2, 5), first_len=2, q=5)
-    assert estimate_swapped_columns(c) == (2, 5)
+    assert np.flatnonzero(estimate_swapped_columns(c)).tolist() == [2, 5]
     result = unshuffle2(c)
-    assert result.swapped_cols == (2, 5)
+    assert np.flatnonzero(result.swapped).tolist() == [2, 5]
     assert result.first_block_len == 2
     assert np.array_equal(result.aligned.values,
                           np.repeat(np.array(template)[:, None], 6, axis=1))
@@ -107,16 +107,44 @@ def test_estimate_conserved_rows():
     template = [0, 1, 2, 3]
     c = build(template, n_cols=4, swapped=(3,), first_len=1, q=7,
               noisy_entries=[(2, 0, 6), (1, 3, 5)])
-    rows0, rows1 = estimate_conserved_rows(c, (3,))
-    assert rows0 == (0, 1, 3)   # row 2 broken by noise on the unswapped side
+    rows0, rows1 = estimate_conserved_rows(c, np.arange(4) == 3)
+    # row 2 broken by noise on the unswapped side
+    assert rows0.tolist() == [True, True, False, True]
     # swapped side is a single column, hence trivially constant everywhere
-    assert rows1 == (0, 1, 2, 3)
+    assert rows1.tolist() == [True, True, True, True]
 
 
 def test_conserved_rows_rejects_degenerate_split():
     c = build([1, 2], n_cols=3, swapped=(), first_len=0, q=3)
-    with pytest.raises(ValueError):
-        estimate_conserved_rows(c, ())
+    for swapped, message in (([False] * 3, "nonempty and proper"),
+                             ([True] * 3, "nonempty and proper"),
+                             ([False, True], r"mask must have shape \(3,\)")):
+        with pytest.raises(ValueError, match=message):
+            estimate_conserved_rows(c, np.array(swapped))
+
+
+def conserved_rows_oracle(values, swapped):
+    """Row by row: is the row one value over each side?"""
+    sides = [[n for n, s in enumerate(swapped.tolist()) if s == side]
+             for side in (False, True)]
+    return [[len(set(row[side].tolist())) == 1 for row in values] for side in sides]
+
+
+@st.composite
+def corpora_with_proper_masks(draw):
+    values = draw(arrays(np.int64, st.tuples(st.integers(1, 10), st.integers(2, 20)),
+                         elements=st.integers(0, 2)))
+    swapped = draw(arrays(np.bool_, values.shape[1]).filter(lambda m: 0 < m.sum() < len(m)))
+    return ShuffledCorpus(values=values, q=3), swapped
+
+
+@settings(deadline=None)
+@given(corpora_with_proper_masks())
+def test_conserved_rows_match_row_loop(case):
+    corpus, swapped = case
+    conserved = estimate_conserved_rows(corpus, swapped)
+    assert conserved.shape == (2, corpus.n_rows) and conserved.dtype == bool
+    assert conserved.tolist() == conserved_rows_oracle(corpus.values, swapped)
 
 
 def test_generated_recovery_noiseless():
@@ -140,8 +168,8 @@ def test_generated_recovery_with_noise():
     shifted = {(l - 40) % 100 for l in noise_free}
     if truth.swapped[0]:
         noise_free, shifted = shifted, noise_free
-    assert noise_free <= set(result.conserved_unswapped)
-    assert shifted <= set(result.conserved_swapped)
+    assert result.conserved[0, sorted(noise_free)].all()
+    assert result.conserved[1, sorted(shifted)].all()
 
 
 def test_gauge_swap_when_column_zero_is_swapped():
@@ -159,7 +187,7 @@ def test_gauge_swap_when_column_zero_is_swapped():
                             blocks=truth.blocks)
     assert truth.swapped[0]
     result = unshuffle2(corpus)
-    assert 0 not in result.swapped_cols
+    assert not result.swapped[0]
     assert result.first_block_len == 5  # complement of the true length 3
     assert two_block_recovery(result, truth)
 
@@ -179,7 +207,8 @@ def test_alignment_score_bound():
 
 
 def two_block_recovery_oracle(result, truth):
-    """The set check that the masks in ``two_block_recovery`` replaced."""
+    """The set check that the masks in ``two_block_recovery`` replaced; the
+    result's masks become sets here."""
     total = truth.blocks.total
     first_len = truth.blocks.lengths[0]
     ident = identity(truth.blocks.block_count)
@@ -187,10 +216,10 @@ def two_block_recovery_oracle(result, truth):
     loci = set(truth.noise_loci.tolist())
     n_cols = len(truth.perm_index)
 
-    found_swapped = set(result.swapped_cols)
+    found_swapped = set(np.flatnonzero(result.swapped).tolist())
     all_rows = set(range(total))
-    loci_unswapped_side = all_rows - set(result.conserved_unswapped)
-    loci_swapped_side = all_rows - set(result.conserved_swapped)
+    loci_unswapped_side = all_rows - set(np.flatnonzero(result.conserved[0]).tolist())
+    loci_swapped_side = all_rows - set(np.flatnonzero(result.conserved[1]).tolist())
     shifted_loci = {(l - first_len) % total for l in loci}
 
     if 0 not in true_swapped:
@@ -238,8 +267,8 @@ def two_block_recovery_cases(draw):
         side = 2 if change == "unswapped" else 3
         fields[side] = tuple(sorted(set(fields[side]) ^ {draw(st.integers(0, total - 1))}))
     result = TwoUnshuffleResult(
-        swapped_cols=fields[0], first_block_len=fields[1],
-        conserved_unswapped=fields[2], conserved_swapped=fields[3],
+        swapped=np.isin(np.arange(n_cols), fields[0]), first_block_len=fields[1],
+        conserved=np.array([np.isin(np.arange(total), rows) for rows in fields[2:]]),
         aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
         score=0)
     return result, truth, fields == exact
@@ -277,7 +306,7 @@ def check_vote(corpus):
         with pytest.raises(NotIdentifiableError):
             estimate_swapped_columns(corpus)
     else:
-        assert estimate_swapped_columns(corpus) == expected
+        assert tuple(np.flatnonzero(estimate_swapped_columns(corpus)).tolist()) == expected
 
 
 corpus_values = arrays(np.int64, st.tuples(st.integers(1, 10), st.integers(2, 20)),
@@ -321,7 +350,7 @@ def test_realignment_matches_per_column_permutations(values):
     except NotIdentifiableError:
         return
     expected = [np.roll(col, result.first_block_len)
-                if n in result.swapped_cols else col
+                if result.swapped[n] else col
                 for n, col in enumerate(corpus.values.T)]
     assert result.aligned.q == corpus.q
     assert np.array_equal(result.aligned.values, np.column_stack(expected))
