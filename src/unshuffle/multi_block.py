@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ShuffledCorpus
-from .partitions import distinct_counts, sorted_rows
+from .partitions import sorted_rows
 from .probs import occupancy
 
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
@@ -94,7 +94,7 @@ def weighted_shift_align(corpus: ShuffledCorpus) -> np.ndarray:
 
 def detect_block_boundary(sizes: np.ndarray, threshold: int) -> int:
     """Rows of an aligned corpus classified by their partition sizes
-    (``distinct_counts``): conserved (size 1), noise (size above the
+    (distinct values per row): conserved (size 1), noise (size above the
     threshold), structured (in between).  Returns the number of rows before
     the first structured row, i.e. the length of the leading fully-aligned
     block; the full row count if no structured row exists."""
@@ -104,16 +104,26 @@ def detect_block_boundary(sizes: np.ndarray, threshold: int) -> int:
     return int(np.argmax(structured)) if structured.any() else len(sizes)
 
 
-def _majority_rows(values: np.ndarray):
-    """Per row, the lower-middle entry of the sorted row and its count: the
-    row's mode and the mode's count wherever one value fills more than half
-    the row (the smallest mode for rows of at most two); elsewhere a count
-    no larger than the mode's."""
-    middle = sorted_rows(values)[:, (values.shape[1] - 1) // 2].astype(values.dtype)
-    return middle, np.count_nonzero(values == middle[:, None], axis=1)
+def _row_stats(values: np.ndarray):
+    """Per row, from one sort: the partition size (number of distinct
+    values), the lower-middle entry of the sorted row, and that entry's
+    count.  The middle entry is the row's mode, and its count the mode's,
+    wherever one value fills more than half the row (the smallest mode for
+    rows of at most two); elsewhere the count is no larger than the mode's.
+    Rows are sorted in blocks of about 2**18 entries, as ``distinct_counts``
+    sorts them."""
+    n_cols = values.shape[1]
+    step = max(1, 2 ** 18 // (n_cols + 1))
+    sizes = np.empty(len(values), dtype=np.intp)
+    middle = np.empty(len(values), dtype=values.dtype)
+    for start in range(0, len(values), step):
+        ordered = sorted_rows(values[start:start + step])
+        sizes[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+        middle[start:start + step] = ordered[:, (n_cols - 1) // 2]
+    return sizes, middle, np.count_nonzero(values == middle[:, None], axis=1)
 
 
-def _repair_outliers(aligned: np.ndarray) -> np.ndarray:
+def _repair_outliers(aligned: np.ndarray):
     """Fix columns that locked onto a spurious shift.  A misaligned column
     turns otherwise conserved rows into near-unanimous ones, which the
     boundary rule would misread as structure.  Rows where all but a handful
@@ -122,24 +132,25 @@ def _repair_outliers(aligned: np.ndarray) -> np.ndarray:
     its true shift it matches every one of them).
 
     Rotates the columns of ``aligned`` in place and returns the extra shift
-    of each column."""
+    of each column and the partition size of each row after the repair.
+    A pass that moves no column hands back the sizes from its own sort."""
     size, n_cols = aligned.shape
     tol = max(1, n_cols // 16)  # under half a row of 3 or more: a trusted row has a majority
     extra = np.zeros(n_cols, dtype=np.intp)
     for _ in range(REPAIR_PASSES):
-        majority, counts = _majority_rows(aligned)
+        sizes, majority, counts = _row_stats(aligned)
         trusted = np.flatnonzero(counts >= n_cols - tol)
         if len(trusted) == 0:
-            break
+            return extra, sizes
         agreement = (aligned[trusted] == majority[trusted, None]).mean(axis=0)
         outliers = np.flatnonzero(agreement < 0.7)
         if len(outliers) == 0:
-            break
+            return extra, sizes
         shifts = np.zeros(n_cols, dtype=np.intp)
         shifts[outliers] = lex_best_shifts(majority, aligned[:, outliers], trusted)
         _roll_columns(aligned, shifts)
         extra = (extra + shifts) % size
-    return extra
+    return extra, _row_stats(aligned)[0]
 
 
 def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
@@ -158,7 +169,15 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     record; the result's ``column_perms`` is its (N, L) transposed view."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
-    noise_mean = occupancy(max(2, corpus.q), n_cols)[0]
+    # Threshold alphabet: the smallest Z/qZ holding the symbols (span <= q).
+    # Guard alphabet: the symbols present, so a sparse palette is judged by what it shows.
+    if corpus.values.dtype.itemsize <= 2 or corpus.q <= 2 ** 16:
+        hist = np.bincount(corpus.values.ravel())
+        present, span = int(np.count_nonzero(hist)), len(hist)
+    else:
+        symbols = np.unique(corpus.values)
+        present, span = len(symbols), int(symbols[-1]) + 1 if len(symbols) else 0
+    noise_mean = occupancy(max(2, span), n_cols)[0]
     threshold = min(math.ceil(n_cols / 4), max(2, math.floor(noise_mean / 2)))
     working = corpus.values.copy()
     rows = np.arange(total, dtype=np.min_scalar_type(total))  # small: it lives as long as working
@@ -173,9 +192,9 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
         rem = total - start
         shifts = weighted_shift_align(ShuffledCorpus(values=working[start:], q=corpus.q))
         _roll_columns(working[start:], shifts)
-        shifts = (shifts + _repair_outliers(working[start:])) % rem
+        extra, sizes[start:] = _repair_outliers(working[start:])
+        shifts = (shifts + extra) % rem
         _roll_columns(index[start:], shifts)
-        sizes[start:] = distinct_counts(working[start:])
         boundary = detect_block_boundary(sizes[start:], threshold)
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))
@@ -197,9 +216,7 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
             continue
         lengths.append(boundary)
         start += boundary
-    symbols = (np.count_nonzero(np.bincount(working.ravel())) if working.dtype.itemsize <= 2
-               else len(np.unique(working)))
-    mean, sd = occupancy(max(2, min(corpus.q, int(symbols))), n_cols)
+    mean, sd = occupancy(max(2, present), n_cols)
     mixed = np.flatnonzero((sizes > 1) & (sizes - mean < NOISE_Z_MIN * sd))
     if success and len(mixed):
         success, reason = False, f"row {mixed[0]} mixes conserved and noisy columns"

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.multi_block import _majority_rows, unshuffle_m
-from unshuffle.partitions import distinct_counts
+from unshuffle.multi_block import _row_stats, unshuffle_m
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.two_block import (
     NotIdentifiableError,
@@ -47,10 +46,10 @@ def outcome(solve, corpus):
 
 
 def assert_same_rows(wide, narrow):
-    assert np.array_equal(distinct_counts(wide.values), distinct_counts(narrow.values))
-    wide_modes, wide_counts = _majority_rows(wide.values)
-    narrow_modes, narrow_counts = _majority_rows(narrow.values)
+    wide_sizes, wide_modes, wide_counts = _row_stats(wide.values)
+    narrow_sizes, narrow_modes, narrow_counts = _row_stats(narrow.values)
     assert narrow_modes.dtype == narrow.values.dtype
+    assert np.array_equal(wide_sizes, narrow_sizes)
     assert np.array_equal(wide_modes, narrow_modes)
     assert np.array_equal(wide_counts, narrow_counts)
 
@@ -92,7 +91,8 @@ def test_m_block_invariant_to_word_dtype(data, word, q, lengths, counts, lam, se
     params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=sum(counts),
                          noise_fraction=lam, shuffle=shuffle, restricted_prefix=True,
                          seed=seed)
-    wide, narrow = two_layouts(data, generate(params)[0], word)
+    corpus = generate(params)[0]
+    wide, narrow = two_layouts(data, corpus, word)
     assert_same_rows(wide, narrow)
     a, b = unshuffle_m(wide), unshuffle_m(narrow)
     assert (a.block_count, a.lengths, a.trace, a.success, a.failure_reason) == \
@@ -100,13 +100,19 @@ def test_m_block_invariant_to_word_dtype(data, word, q, lengths, counts, lam, se
     assert np.array_equal(a.column_perms, b.column_perms)
     assert b.aligned.values.dtype == word
     assert np.array_equal(a.aligned.values, b.aligned.values)
+    # un-renamed, and as a loaded file declares it: 1-byte words, q=256
+    c = unshuffle_m(corpus)
+    d = unshuffle_m(ShuffledCorpus(values=corpus.values.astype(np.uint8), q=256))
+    assert (c.lengths, c.success, c.failure_reason) == (d.lengths, d.success, d.failure_reason)
+    assert np.array_equal(c.column_perms, d.column_perms)
 
 
 @pytest.mark.parametrize("word", WORDS)
 def test_majority_rows_ties_at_the_top_of_the_range(word):
-    # [DERIVED] each row holds two values twice each; the smaller one wins,
-    # also when the larger is the dtype's maximum.
+    # [DERIVED] each row holds two values twice each; the smaller one is
+    # the row's middle, also when the larger is the dtype's maximum.
     top = int(np.iinfo(word).max)
     rows = np.array([[top, 0, top, 0], [top, top - 1, top - 1, top]])
-    modes, counts = _majority_rows(rows.astype(word))
+    sizes, modes, counts = _row_stats(rows.astype(word))
+    assert sizes.tolist() == [2, 2]
     assert modes.tolist() == [0, top - 1] and counts.tolist() == [2, 2]
