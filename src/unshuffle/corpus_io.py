@@ -156,6 +156,20 @@ def _ints(values, dtype=np.int64) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-D integer
+    array: its distinct rows in lexicographic order, and each row's index
+    among them.  One lexsort, then a mask of where each run of equal rows
+    starts."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
 def load_truth(path) -> tuple:
     """Returns (GroundTruth, q), with ``sigmas`` sorted as the generator sorts
     them.  A document without the sidecar's fields, with an entry that is not
@@ -180,8 +194,7 @@ def load_truth(path) -> tuple:
     if not (np.all((template >= 0) & (template < q)) and np.all(np.diff(noise_loci) > 0)):
         raise ValueError(f"malformed truth sidecar {path}: template values must lie "
                          f"in [0, {q}) and noise loci must increase strictly")
-    distinct, perm_index = np.unique(entries.reshape(len(rows), blocks.block_count),
-                                     axis=0, return_inverse=True)
+    distinct, perm_index = _distinct_rows(entries.reshape(len(rows), blocks.block_count))
     return GroundTruth(template=template, noise_loci=noise_loci,
                        sigmas=tuple(map(from_one_line, distinct.tolist())),
                        perm_index=perm_index, blocks=blocks), q

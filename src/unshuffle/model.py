@@ -13,7 +13,9 @@ output.  A zero-size draw consumes no randomness, so a model without noise
 loci makes neither noise call.  A batch of corpora draws trial after trial
 in exactly that order; the per-parameter set-up (:class:`Sampler`) is built
 once, and the assembly of the drawn values into columns is batched across
-trials.
+trials.  Generated corpora come in the smallest word dtype that holds q
+(``uint8``, ``uint16`` or ``uint32``; int64 beyond 2**32 symbols), with
+each record contiguous.
 """
 
 from __future__ import annotations
@@ -133,9 +135,10 @@ class GroundTruth:
 @dataclass(frozen=True)
 class ShuffledCorpus:
     """L x N matrix over Z/qZ; column n is message n.  ``values`` may have
-    any integer dtype and memory layout: generated corpora are int64,
-    stored column by column, and loaded corpora are row-major in their word
-    dtype (see :func:`unshuffle.corpus_io.load_corpus`)."""
+    any integer dtype and memory layout: generated corpora are stored column
+    by column in the smallest word dtype that holds q, and loaded corpora
+    are row-major in their file's word dtype (see
+    :func:`unshuffle.corpus_io.load_corpus`)."""
 
     values: np.ndarray
     q: int
@@ -164,8 +167,12 @@ class Sampler:
     trial drawn from it: the block starts, the positions allowed to be noise
     loci, the distinct block-level permutations in sorted order
     (``sigmas``), the column pool as an index into them (``pool``: each
-    sigma's index repeated by its column count), and their (S, L) coherent
-    block permutation gather table (``table[i]`` belongs to ``sigmas[i]``)."""
+    sigma's index repeated by its column count, ``pool_bounds`` where each
+    sigma's run starts), their (S, L) coherent block permutation gather
+    table (``table[i]`` belongs to ``sigmas[i]``), the indices of the sigmas
+    whose row moves a position (``moved``), and the word dtype of the
+    corpora (``dtype``: the smallest that holds q) with q as a word
+    (``q_word``, modulo 2**bits)."""
 
     def __init__(self, params: ModelParams):
         blocks = params.blocks
@@ -181,8 +188,14 @@ class Sampler:
                 f"{k} noise loci requested but only {len(self.allowed)} positions allowed")
         counts = sorted(params.perm_counts().items())
         self.sigmas = tuple(sigma for sigma, _ in counts)
-        self.pool = np.repeat(np.arange(len(counts)), [count for _, count in counts])
+        sizes = [count for _, count in counts]
+        self.pool = np.repeat(np.arange(len(counts)), sizes)
+        self.pool_bounds = np.cumsum([0, *sizes])
         self.table = coherent_block_table(self.sigmas, blocks)
+        self.moved = np.flatnonzero((self.table != np.arange(blocks.total)).any(axis=1))
+        self.dtype = (np.min_scalar_type(params.q - 1) if params.q <= 2 ** 32
+                      else np.dtype(np.int64))
+        self.q_word = self.dtype.type(params.q % 2 ** (8 * self.dtype.itemsize))
 
     def batch(self, trials: int, rng: np.random.Generator) -> "Batch":
         """Draw ``trials`` corpora from ``rng``, the same stream as
@@ -193,12 +206,13 @@ class Sampler:
         (``choice``), the column order (``permutation``), then the (N, k)
         noise values.  A zero-size draw consumes no randomness, so with no
         noise loci neither noise call is made.  The rest is whole-array
-        work over the batch: the loci are sorted, the column order is
-        mapped through the pool, and the columns of all trials, lying on
-        one flat axis, are assembled about 2**16 entries at a time
-        (template, plus noise mod q at the trial's loci, gathered through
-        the column's coherent block permutation), so the temporaries stay
-        small however large the batch."""
+        work over the batch, in the word dtype: the loci are sorted, the
+        column order is mapped through the pool, every column starts as its
+        trial's template, the noise mod q goes in at the trial's loci, and
+        the columns of each moved sigma are gathered through its table row.
+        A one-trial batch and a many-trial batch differ only in their loci
+        index.  Records lie contiguous: ``values[t]`` is an (L, N) view of
+        an (N, L) array."""
         params = self.params
         q, n, total, k = params.q, params.num_messages, params.blocks.total, params.noise_count
         starts, allowed = self.starts, self.allowed
@@ -221,27 +235,29 @@ class Sampler:
         loci.sort(axis=1)
         perm_index = self.pool[orders]
 
-        out = np.empty((trials * n, total), dtype=np.int64)
-        flat_index = perm_index.ravel()
+        out = np.empty((trials, n, total), dtype=self.dtype)
+        out[...] = templates.astype(self.dtype)[:, None]
+        values = out.transpose(0, 2, 1)
         if k:
-            # One trial's noise is used as drawn: a copy would double the
-            # peak memory of a large corpus.
-            noise = noise[0] if trials == 1 else np.concatenate(noise)
-        step = max(1, 2 ** 16 // total)
-        for start in range(0, trials * n, step):
-            stop = min(start + step, trials * n)
-            trial = np.arange(start, stop) // n
-            cols = templates[trial]
-            if k:
-                at = (np.arange(stop - start)[:, None], loci[trial])
-                folded = cols[at] + noise[start:stop]
-                # Both terms are below q: one conditional subtract is the mod.
-                folded -= q * (folded >= q)
-                cols[at] = folded
-            out[start:stop] = np.take_along_axis(cols, self.table[flat_index[start:stop]],
-                                                 axis=1)
-        return Batch(values=out.reshape(trials, n, total).transpose(0, 2, 1),
-                     templates=templates, loci=loci, perm_index=perm_index,
+            # One trial's draw is used as it is: a stacked copy would add 8
+            # bytes per entry to the peak memory of a large corpus.
+            noise = noise[0][None] if trials == 1 else np.stack(noise)
+            base = np.take_along_axis(templates, loci, axis=1)[:, None]
+            # Both terms are below q, so their sum passes q at most once
+            # (``wraps``, found in int64).  Word arithmetic is modulo
+            # 2**bits, so the sum less q lands in [0, q) even where the sum
+            # overflows the word.
+            wraps = noise >= q - base
+            noise = noise.astype(self.dtype)
+            noise += base.astype(self.dtype)
+            noise -= wraps * self.q_word
+            values[np.arange(trials)[:, None], loci] = noise.transpose(0, 2, 1)
+        flat, bounds = out.reshape(trials * n, total), trials * self.pool_bounds
+        by_sigma = np.argsort(perm_index, axis=None, kind="stable")
+        for i in self.moved:
+            cols = by_sigma[bounds[i]:bounds[i + 1]]
+            flat[cols] = flat.take(cols, axis=0).take(self.table[i], axis=1)
+        return Batch(values=values, templates=templates, loci=loci, perm_index=perm_index,
                      sigmas=self.sigmas, blocks=params.blocks)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from unshuffle.corpus_io import (
     CorpusSpec,
+    _distinct_rows,
     EmptyCorpusError,
     MalformedCorpusError,
     Report,
@@ -224,3 +225,21 @@ def test_truth_sidecar_matches_json_dumps(data, m, q, n):
     assert np.array_equal(loaded.perm_index, perm_index)
     assert np.array_equal(loaded.noise_loci, loci)
     assert loaded.perm_index.shape == (n,) and loaded.noise_loci.dtype == np.intp
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), width=st.integers(1, 6), n=st.integers(1, 40),
+       pool_size=st.integers(1, 8))
+def test_distinct_rows_matches_np_unique(data, width, n, pool_size):
+    # Rows drawn from a small pool repeat; a single row and all-equal rows
+    # are included, and values span the int64 range.
+    value = st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(-2, 2)
+    pool = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                              min_size=pool_size, max_size=pool_size))
+    rows = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    distinct, inverse = _distinct_rows(rows)
+    expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, expected)
+    assert inverse.dtype == np.intp and np.array_equal(inverse, expected_inverse)
+    assert np.array_equal(distinct[inverse], rows)

@@ -1,11 +1,14 @@
 """Generative model: parameter validation, determinism, and an independent
 straight-line reimplementation used as an oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import column_sigmas
 from hypothesis import assume, given, settings, strategies as st
 
+from unshuffle.corpus_io import WORD_DTYPES, word_bytes_for
 from unshuffle.model import (
     InfeasibleParamsError,
     ModelParams,
@@ -137,8 +140,7 @@ def straight_line_two_block(q, lengths, n, k, n_swapped, rng):
 
 def test_generate_against_straight_line_reimplementation():
     # [DERIVED] one corpus, then batches: a batch draws the same stream as
-    # successive corpora, and 3 * 700 columns of length 100 span several
-    # assembly blocks of about 2**16 entries, some straddling two trials.
+    # successive corpora, each trial with its own loci and column order.
     params = ModelParams(q=3, blocks=BlockStructure((2, 4)), num_messages=4,
                          noise_fraction=0.5, shuffle=0.5, seed=77)
     corpus, truth = generate(params)
@@ -165,6 +167,50 @@ def test_generate_against_straight_line_reimplementation():
             assert np.array_equal(truth.template, template)
             assert truth.noise_loci.tolist() == loci
             assert column_sigmas(truth) == perms
+
+
+@pytest.mark.parametrize("q, word", [(2, np.uint8), (3, np.uint8), (128, np.uint8),
+                                     (129, np.uint8), (255, np.uint8), (256, np.uint8),
+                                     (257, np.uint16), (65536, np.uint16),
+                                     (65537, np.uint32), (2 ** 32, np.uint32),
+                                     (2 ** 32 + 5, np.int64)])
+def test_generated_corpus_is_in_the_smallest_word_dtype(q, word):
+    # [DERIVED] equal to the int64 oracle in the smallest dtype holding q.
+    # Where q fills its word, template plus noise passes the word's maximum
+    # at some locus before the fold.  Records lie contiguous in the word,
+    # so writing them in that word size needs no copy.
+    lengths, n = (5, 9), 60
+    params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
+                         noise_fraction=0.5, shuffle=0.4, seed=q % 1000)
+    corpus, truth = generate(params)
+    assert corpus.values.dtype == word
+    expected, template, loci, perms = straight_line_two_block(
+        q, lengths, n, params.noise_count, params.shuffled_count, make_rng(params.seed))
+    assert np.array_equal(corpus.values, expected)
+    assert column_sigmas(truth) == perms
+    folded = expected[np.ix_(loci, [c for c, p in enumerate(perms) if p == (0, 1)])]
+    wrapped = folded < template[loci, None]
+    top = np.iinfo(word).max
+    assert wrapped.any()
+    if q >= top:
+        assert (folded[wrapped] + q).max() > top
+    if q <= 2 ** 32:
+        written = np.ascontiguousarray(corpus.values.T, dtype=WORD_DTYPES[word_bytes_for(q)])
+        assert np.shares_memory(written, corpus.values)
+
+
+def test_generate_peak_memory():
+    # The (N, k) int64 noise draw is 16 MB of it, fixed by the RNG contract;
+    # the 4 MB corpus is assembled around it in 1-byte words.
+    params = ModelParams(q=3, blocks=BlockStructure((400, 600)), num_messages=4000,
+                         noise_fraction=0.5, shuffle=0.3, seed=1)
+    tracemalloc.start()
+    try:
+        generate(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_noise_values_roughly_uniform():
