@@ -132,6 +132,24 @@ def _json_indented(items, indent: str, brackets: str = "[]") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + indent + brackets[1]
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``,
+    for a document whose dict keys are strings (others are a TypeError): a
+    list of plain ints is formatted in one pass, and every other leaf by
+    ``json.dumps``, whose compact form of a leaf is the indented one."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        return _json_indented([f"{json.dumps(key)}: {_json_text(value[key], inner)}"
+                               for key in sorted(value)], indent, "{}")
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int}:
+            return _json_indented(list(map(str, value)), indent)
+        return _json_indented([_json_text(item, inner) for item in value], indent)
+    return json.dumps(value)
+
+
 def write_truth(truth: GroundTruth, q: int, path) -> None:
     """The sidecar, byte for byte as ``json.dumps(doc, indent=2)`` writes it;
     every value is an int or a flat list of ints, so the layout is built
@@ -153,7 +171,7 @@ def _ints(values, dtype=np.int64) -> np.ndarray:
     """A JSON list of integers as an array; any other entry (bools too) is a TypeError."""
     if not isinstance(values, list) or set(map(type, values)) - {int}:
         raise TypeError("expected a list of integers")
-    return np.array(values, dtype=dtype)
+    return np.fromiter(values, dtype=dtype, count=len(values))
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple:
@@ -210,7 +228,9 @@ class Report:
     seed: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        """Exactly ``json.dumps(vars(self), indent=2, sort_keys=True)``; every
+        dict key in the report must be a string."""
+        return _json_text(vars(self))
 
 
 def write_report(report: Report, path) -> None:

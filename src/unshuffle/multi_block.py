@@ -154,12 +154,20 @@ def _repair_outliers(aligned: np.ndarray):
 
 
 def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
-    """Rotate column k of ``values`` up by ``shifts[k]`` rows, in place: one
-    ``np.roll`` per distinct nonzero shift."""
-    for s in np.unique(shifts):
-        if s:
-            cols = np.flatnonzero(shifts == s)
-            values[:, cols] = np.roll(values[:, cols], -s, axis=0)
+    """Rotate column k of ``values`` up by ``shifts[k]`` rows (0 <= shifts[k]
+    <= the row count), in place.  The moved columns are taken as records and
+    each is laid twice end to end; one gather then reads every record's
+    window from its shift on, each window a contiguous run.  Columns go
+    through about 2**18 entries at a time, so the transposing copies stay in
+    cache."""
+    moved = np.flatnonzero(shifts)
+    step = max(1, 2 ** 18 // len(values))
+    for start in range(0, len(moved), step):
+        cols = moved[start:start + step]
+        records = values[:, cols].T
+        doubled = np.concatenate((records, records), axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, len(values), axis=1)
+        values[:, cols] = windows[np.arange(len(cols)), shifts[cols]].T
 
 
 def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:

@@ -191,6 +191,45 @@ def test_report_round_trip(tmp_path):
     assert Report(**json.loads(path.read_text())) == report
 
 
+# Leaves json.dumps writes in more than one way or that escape: ints past
+# int64, bools beside ints, nan, infinities and -0.0, None, control and
+# non-ASCII characters, quotes and backslashes.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 63, 2 ** 70)
+               | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                                float("-inf"), -0.0])
+               | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é",
+                                              "\u2028", "\U0001f600", "\ud800"]))
+# A list of ints with one bool or one float inside is not a plain int list.
+MIXED_INT_LISTS = st.builds(lambda ints, odd, at: ints[:at] + [odd] + ints[at:],
+                            st.lists(st.integers(), max_size=5),
+                            st.booleans() | st.floats(), st.integers(0, 5))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES | st.lists(st.integers(), max_size=6) | MIXED_INT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+JSON_OBJECTS = st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=st.builds(Report, command=st.text(), params=JSON_OBJECTS,
+                        result=JSON_OBJECTS, diagnostics=JSON_OBJECTS,
+                        success=st.booleans(), seed=st.none() | st.integers()))
+def test_report_json_matches_json_dumps(report):
+    # Reports are laid out without json.dumps(indent=2), whose pure-Python
+    # encoder is slow; the bytes must still be exactly what it writes.
+    assert report.to_json() == json.dumps(vars(report), indent=2, sort_keys=True)
+
+
+def test_report_json_rejects_numpy_leaves_and_non_string_keys():
+    for leaf in (np.int64(3), [1, np.int64(2)], {"a": [np.uint8(1)]}):
+        with pytest.raises(TypeError):
+            Report(command="x", params={"q": leaf}, result={}).to_json()
+    # json.dumps would write the key 1 as "1"; no report has such a key.
+    with pytest.raises(TypeError):
+        Report(command="x", params={1: 2}, result={}).to_json()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), m=st.integers(1, 6), q=st.integers(2, 2 ** 32),
        n=st.integers(0, 12))

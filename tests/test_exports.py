@@ -59,8 +59,13 @@ def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch, tmp_pat
                          "--n", "40", "--lambda", "0.3",
                          "--perm-counts", "1,2,3=14;2,3,1=10;3,1,2=8;1,3,2=8",
                          "--restricted-prefix", "--out", str(m_block)]) == 0
+        written = tracer.counters["corpus_io.bytes_written"]
+        report = tmp_path / "report.json"
         assert cli_main(["unshuffle", str(m_block), "--record-len", "20",
-                         "--truth", f"{m_block}.truth.json"]) == 0
+                         "--truth", f"{m_block}.truth.json",
+                         "--json-report", str(report)]) == 0
+        # The report's bytes, and only they, count as written by this call.
+        assert tracer.counters["corpus_io.bytes_written"] - written == report.stat().st_size > 0
         assert cli_main(["--seed", "1", "gen", "--q", "3", "--lengths", "40,60",
                          "--n", "80", "--lambda", "0.5", "--nu", "0.3",
                          "--out", str(two_block)]) == 0
@@ -69,5 +74,9 @@ def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch, tmp_pat
     # The two-block layers are reached through the names unshuffle2 calls.
     assert {"two_block.estimate_swapped_columns", "two_block.estimate_conserved_rows",
             "two_block.align_cyclic"} <= {span.name for span in tracer.spans}
+    # The report is written through the wrapped name, so corpus_io.sidecar_s
+    # counts its time.
+    assert [span.metric for span in tracer.spans
+            if span.name == "cli.write_report"] == ["corpus_io.sidecar_s"]
     assert tracer.counters["multi_block.rounds"] > 0
     assert tracer.counters["multi_block.columns_aligned"] > 0
