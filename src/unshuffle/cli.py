@@ -202,11 +202,13 @@ def _cmd_unshuffle2(args) -> int:
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
     truth = _truth_for(args, corpus)
+    params = {"corpus": str(args.corpus), "record_len": args.record_len}
     try:
         result = unshuffle2(corpus)
     except NotIdentifiableError as exc:
-        print(f"unshuffle2: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        return _emit(Report(command="unshuffle2", params=params,
+                            result={"failure_reason": str(exc)},
+                            success=False, seed=args.seed), args)
     if args.out is not None:
         write_corpus(result.aligned,
                      CorpusSpec(source=args.out, record_len=args.record_len,
@@ -216,7 +218,7 @@ def _cmd_unshuffle2(args) -> int:
         diagnostics["recovered"] = bool(two_block_recovery(result, truth))
     report = Report(
         command="unshuffle2",
-        params={"corpus": str(args.corpus), "record_len": args.record_len},
+        params=params,
         result={"swapped_cols": (np.flatnonzero(result.swapped) + 1).tolist(),
                 "first_block_len": result.first_block_len,
                 "score": result.score},

@@ -41,6 +41,11 @@ def make_rng(seed) -> np.random.Generator:
 TWO_BLOCK_SWAP: Perm = (1, 0)
 
 
+def realized_count(fraction: float, size: int) -> int:
+    """The exact count a fraction of ``size`` is realized as: ceil, as drawn."""
+    return math.ceil(fraction * size)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the corpus generator.
@@ -87,15 +92,15 @@ class ModelParams:
 
     @property
     def noise_count(self) -> int:
-        """|noise loci| = ceil(noise_fraction * L); fractions round up."""
-        return math.ceil(self.noise_fraction * self.blocks.total)
+        """|noise loci| = ceil(noise_fraction * L)."""
+        return realized_count(self.noise_fraction, self.blocks.total)
 
     @property
     def shuffled_count(self) -> int:
         """Two-block case: number of swapped columns = ceil(fraction * N)."""
         if isinstance(self.shuffle, Mapping):
             raise ValueError("shuffled_count is only defined for the two-block case")
-        return math.ceil(float(self.shuffle) * self.num_messages)
+        return realized_count(float(self.shuffle), self.num_messages)
 
     def perm_counts(self) -> dict:
         """Column counts per block-level permutation, in both cases."""

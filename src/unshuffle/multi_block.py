@@ -5,7 +5,8 @@ Each round cyclically aligns every column of the not-yet-truncated row
 suffix to a reference column, scoring shifts with geometrically decaying
 row weights so that matching the first remaining row outweighs all deeper
 rows combined.  A block boundary is then read off the row partition sizes,
-the finished block is truncated, and the process repeats.
+the finished block is truncated, and the process repeats.  Sizes and row
+modes come from ``partitions.row_stats``, one row sort per repair pass.
 
 With each weight larger than the sum of all later ones (base 2 or more),
 the best score is the lexicographic maximum of the per-row match vector, so
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ShuffledCorpus
-from .partitions import sorted_rows
+from .partitions import row_stats
 from .probs import occupancy
 
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
@@ -42,13 +43,16 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class MUnshuffleResult:
-    block_count: int
     lengths: tuple               # recovered block lengths, reference-column order
     column_perms: np.ndarray     # (N, L); row n is column n's permutation of [0, L)
     aligned: ShuffledCorpus
     trace: tuple                 # RoundTrace per round
     success: bool
     failure_reason: Optional[str] = None
+
+    @property
+    def block_count(self) -> int:
+        return len(self.lengths)
 
     def trace_as_dict(self) -> list:
         return [{"start_row": t.start_row, "shifts": list(t.shifts),
@@ -104,25 +108,6 @@ def detect_block_boundary(sizes: np.ndarray, threshold: int) -> int:
     return int(np.argmax(structured)) if structured.any() else len(sizes)
 
 
-def _row_stats(values: np.ndarray):
-    """Per row, from one sort: the partition size (number of distinct
-    values), the lower-middle entry of the sorted row, and that entry's
-    count.  The middle entry is the row's mode, and its count the mode's,
-    wherever one value fills more than half the row (the smallest mode for
-    rows of at most two); elsewhere the count is no larger than the mode's.
-    Rows are sorted in blocks of about 2**18 entries, as ``distinct_counts``
-    sorts them."""
-    n_cols = values.shape[1]
-    step = max(1, 2 ** 18 // (n_cols + 1))
-    sizes = np.empty(len(values), dtype=np.intp)
-    middle = np.empty(len(values), dtype=values.dtype)
-    for start in range(0, len(values), step):
-        ordered = sorted_rows(values[start:start + step])
-        sizes[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
-        middle[start:start + step] = ordered[:, (n_cols - 1) // 2]
-    return sizes, middle, np.count_nonzero(values == middle[:, None], axis=1)
-
-
 def _repair_outliers(aligned: np.ndarray):
     """Fix columns that locked onto a spurious shift.  A misaligned column
     turns otherwise conserved rows into near-unanimous ones, which the
@@ -133,24 +118,26 @@ def _repair_outliers(aligned: np.ndarray):
 
     Rotates the columns of ``aligned`` in place and returns the extra shift
     of each column and the partition size of each row after the repair.
-    A pass that moves no column hands back the sizes from its own sort."""
+    A pass that moves no column hands back the sizes from its own sort,
+    whose middle entries are the trusted rows' majority values."""
     size, n_cols = aligned.shape
     tol = max(1, n_cols // 16)  # under half a row of 3 or more: a trusted row has a majority
     extra = np.zeros(n_cols, dtype=np.intp)
     for _ in range(REPAIR_PASSES):
-        sizes, majority, counts = _row_stats(aligned)
+        sizes, middle = row_stats(aligned)
+        counts = np.count_nonzero(aligned == middle[:, None], axis=1)
         trusted = np.flatnonzero(counts >= n_cols - tol)
         if len(trusted) == 0:
             return extra, sizes
-        agreement = (aligned[trusted] == majority[trusted, None]).mean(axis=0)
+        agreement = (aligned[trusted] == middle[trusted, None]).mean(axis=0)
         outliers = np.flatnonzero(agreement < 0.7)
         if len(outliers) == 0:
             return extra, sizes
         shifts = np.zeros(n_cols, dtype=np.intp)
-        shifts[outliers] = lex_best_shifts(majority, aligned[:, outliers], trusted)
+        shifts[outliers] = lex_best_shifts(middle, aligned[:, outliers], trusted)
         _roll_columns(aligned, shifts)
         extra = (extra + shifts) % size
-    return extra, _row_stats(aligned)[0]
+    return extra, row_stats(aligned)[0]
 
 
 def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
@@ -170,6 +157,22 @@ def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
         values[:, cols] = windows[np.arange(len(cols)), shifts[cols]].T
 
 
+def _alphabet(corpus: ShuffledCorpus) -> tuple:
+    """The number of distinct symbols, and the largest + 1 (both 0 if empty).
+    Symbols below 2**16 are bincounted about 2**18 entries at a time, so no
+    intp copy of the whole corpus is made; wider ones go through np.unique."""
+    values = corpus.values
+    if values.dtype.itemsize <= 2 or corpus.q <= 2 ** 16:
+        span = int(values.max()) + 1 if values.size else 0
+        hist = np.zeros(span, dtype=np.intp)
+        step = max(1, 2 ** 18 // (values.shape[1] + 1))
+        for start in range(0, len(values), step):
+            hist += np.bincount(values[start:start + step].ravel(), minlength=span)
+        return int(np.count_nonzero(hist)), span
+    symbols = np.unique(values)
+    return len(symbols), int(symbols[-1]) + 1 if len(symbols) else 0
+
+
 def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     """Iterate align + truncate until the rows are exhausted.  Each round
     rotates the row suffix of every column; the rotations accumulate in one
@@ -179,12 +182,7 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     n_cols = corpus.n_cols
     # Threshold alphabet: the smallest Z/qZ holding the symbols (span <= q).
     # Guard alphabet: the symbols present, so a sparse palette is judged by what it shows.
-    if corpus.values.dtype.itemsize <= 2 or corpus.q <= 2 ** 16:
-        hist = np.bincount(corpus.values.ravel())
-        present, span = int(np.count_nonzero(hist)), len(hist)
-    else:
-        symbols = np.unique(corpus.values)
-        present, span = len(symbols), int(symbols[-1]) + 1 if len(symbols) else 0
+    present, span = _alphabet(corpus)
     noise_mean = occupancy(max(2, span), n_cols)[0]
     threshold = min(math.ceil(n_cols / 4), max(2, math.floor(noise_mean / 2)))
     working = corpus.values.copy()
@@ -228,8 +226,7 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     mixed = np.flatnonzero((sizes > 1) & (sizes - mean < NOISE_Z_MIN * sd))
     if success and len(mixed):
         success, reason = False, f"row {mixed[0]} mixes conserved and noisy columns"
-    return MUnshuffleResult(block_count=len(lengths), lengths=tuple(lengths),
-                            column_perms=index.T,
+    return MUnshuffleResult(lengths=tuple(lengths), column_perms=index.T,
                             aligned=ShuffledCorpus(values=working, q=corpus.q),
                             trace=tuple(trace), success=success,
                             failure_reason=reason)

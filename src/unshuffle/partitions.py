@@ -4,11 +4,13 @@ Each row of a corpus groups the columns by the value they carry at that
 position; the sizes of these groupings reveal block structure even when the
 per-column permutations are unknown.
 
-Counting a row's distinct values means sorting it, and that row sort is the
-solvers' main kernel.  Rows of 1-byte words are sorted as 16-bit integers:
-numpy 2.4 has no fast sort for 8-bit types (on x86-64, 64 rows of 4000
-sort in about 5 ms as uint8 against 0.15 ms as int16 and 0.4 ms as int64),
-and the widening is exact and costs one small copy per block.
+Every row statistic comes from one kernel, ``row_stats``: it sorts each
+row once and reads off the partition size and the lower-middle entry (the
+row's mode wherever one value fills more than half the row).  It is the
+only row sort of the package.  Rows of 1-byte words are sorted as 16-bit
+integers: numpy 2.4 has no fast sort for 8-bit types (on x86-64, 64 rows of
+4000 sort in about 5 ms as uint8 against 0.15 ms as int16 and 0.4 ms as
+int64), and the widening is exact and costs one small copy per block.
 """
 
 from __future__ import annotations
@@ -30,36 +32,33 @@ class PartitionProfile:
         return max(self.sizes)
 
 
-def sorted_rows(values: np.ndarray) -> np.ndarray:
-    """A copy of a 2-D integer array with each row sorted; 1-byte values
-    come back widened to int16, which sorts them about 30 times faster."""
-    if values.dtype.itemsize == 1:
-        ordered = values.astype(np.int16)
-        ordered.sort(axis=1)
-        return ordered
-    return np.sort(values, axis=1)
-
-
-def distinct_counts(values: np.ndarray) -> np.ndarray:
-    """Number of distinct values in each row of a 2-D array (the row's
-    partition size).  Rows are sorted about 2**18 entries at a time: the
+def row_stats(values: np.ndarray) -> tuple:
+    """Per row of a 2-D integer array, from one sort: the partition size
+    (number of distinct values) and the lower-middle sorted entry, in the
+    array's dtype.  Rows are sorted about 2**18 entries at a time, so the
     sorted copy stays in cache and off the peak memory of a large corpus."""
-    step = max(1, 2 ** 18 // (values.shape[1] + 1))
-    counts = np.empty(len(values), dtype=np.intp)
+    n_cols = values.shape[1]
+    step = max(1, 2 ** 18 // (n_cols + 1))
+    wide = np.int16 if values.dtype.itemsize == 1 else values.dtype
+    sizes = np.empty(len(values), dtype=np.intp)
+    middle = np.zeros(len(values), dtype=values.dtype)
     for start in range(0, len(values), step):
-        ordered = sorted_rows(values[start:start + step])
-        counts[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    return counts
+        ordered = values[start:start + step].astype(wide)
+        ordered.sort(axis=1)
+        sizes[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+        if n_cols:  # rows without entries keep middle 0
+            middle[start:start + step] = ordered[:, (n_cols - 1) // 2]
+    return sizes, middle
 
 
 def partition_profile(corpus: ShuffledCorpus) -> PartitionProfile:
     """Partition size of every row; vectorized (no part structure kept)."""
-    return PartitionProfile(sizes=tuple(distinct_counts(corpus.values).tolist()))
+    return PartitionProfile(sizes=tuple(row_stats(corpus.values)[0].tolist()))
 
 
 def two_valued_rows(corpus: ShuffledCorpus) -> np.ndarray:
     """Indices, ascending, of the rows whose partition has exactly two parts."""
-    return np.flatnonzero(distinct_counts(corpus.values) == 2)
+    return np.flatnonzero(row_stats(corpus.values)[0] == 2)
 
 
 def profile_to_csv(profile: PartitionProfile, path) -> None:

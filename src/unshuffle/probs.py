@@ -2,8 +2,8 @@
 seeded Monte Carlo harness that checks each formula against simulation.
 
 Count conventions: the swapped-column count and the noise-locus count are
-the exact integer counts the generator realizes (ceil of fraction times
-size); the closed forms are evaluated with those counts as exponents.
+the exact integer counts the generator realizes (``model.realized_count``:
+ceil of fraction times size); the closed forms take them as exponents.
 Powers like q**(1 - count) are computed via exp/log to avoid spurious
 underflow inside differences.
 
@@ -13,12 +13,15 @@ for those events simulates exactly that single-row experiment.  (A fixed
 noise-locus count of ceil(lambda * L) introduces an O(1/L) dependence
 between the two memberships that the formulas ignore.)  The conserved-row
 and prefix events are simulated on full generated corpora, where the
-formulas are exact.  Each Monte Carlo run sets the model up once (a
-``model.Sampler``) and draws its corpora from it trial by trial, making the
-generator's per-trial RNG calls in the contract's order (a model without
-noise loci makes no loci or noise call).  The draws come back as arrays;
-their assembly and the event test are batched, a chunk of about 2**12
-symbols at a time, and no per-trial ground truth is built.
+formulas are exact.  Conserved rows come from the two-block solver's
+``two_block.side_conserved`` and partition sizes from
+``partitions.row_stats``, so each check tests the code the solvers run.
+Each Monte Carlo run sets the model up once (a ``model.Sampler``) and
+draws its corpora from it trial by trial, making the generator's per-trial
+RNG calls in the contract's order (a model without noise loci makes no
+loci or noise call).  The draws come back as arrays; their assembly and
+the event test are batched, a chunk of about 2**12 symbols at a time, and
+no per-trial ground truth is built.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import ModelParams, Sampler, make_rng
-from .partitions import distinct_counts
+from .model import ModelParams, Sampler, make_rng, realized_count
+from .partitions import row_stats
 from .perms import identity
+from .two_block import side_conserved
 
 
 def _qpow(q: float, exponent: float) -> float:
@@ -42,20 +46,12 @@ def _qpow(q: float, exponent: float) -> float:
         return math.inf
 
 
-def swapped_count(n: int, fraction: float) -> int:
-    return math.ceil(fraction * n)
-
-
-def noise_count(length: int, fraction: float) -> int:
-    return math.ceil(fraction * length)
-
-
 def p_n_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
     """Probability that one row takes exactly two values whose inverse images
     are the swapped/unswapped column sets."""
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
-    n1 = swapped_count(n, swap_frac)
+    n1 = realized_count(swap_frac, n)
     n0 = n - n1
     if not 0 < n1 < n:
         raise ValueError("swapped fraction must leave both sides nonempty")
@@ -69,7 +65,7 @@ def p_n_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
 
 def p2_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
     """Probability that one row takes exactly two values, any bipartition."""
-    n1 = swapped_count(n, swap_frac)
+    n1 = realized_count(swap_frac, n)
     n0 = n - n1
     if not 0 < n1 < n:
         raise ValueError("swapped fraction must leave both sides nonempty")
@@ -96,9 +92,9 @@ def l_sets_exact_prob(q: int, n: int, length: int,
                       noise_frac: float, swap_frac: float) -> tuple:
     """Probabilities, given the swapped set is known exactly, that the two
     conserved-row sets identify the noise-free loci exactly."""
-    n1 = swapped_count(n, swap_frac)
+    n1 = realized_count(swap_frac, n)
     n0 = n - n1
-    k = noise_count(length, noise_frac)
+    k = realized_count(noise_frac, length)
     p0 = (1.0 - _qpow(q, 1 - n0)) ** k
     p1 = (1.0 - _qpow(q, 1 - n1)) ** k
     return p0, p1
@@ -191,7 +187,7 @@ def _report(event: str, closed: float, hits: int, trials: int) -> ProbReport:
 def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):
     """Vectorized single-row experiment: independent noise membership for the
     position and its shifted image, exact column counts per side."""
-    n1 = swapped_count(n, swap_frac)
+    n1 = realized_count(swap_frac, n)
     n0 = n - n1
     noisy0 = rng.random(trials) < noise_frac
     noisy1 = rng.random(trials) < noise_frac
@@ -203,11 +199,11 @@ def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):
     vals1 = np.where(noisy1[:, None],
                      (base1[:, None] + rng.integers(0, q, size=(trials, n1))) % q,
                      base1[:, None])
-    const0 = (vals0 == vals0[:, :1]).all(axis=1)
-    const1 = (vals1 == vals1[:, :1]).all(axis=1)
-    sides_differ = vals0[:, 0] != vals1[:, 0]
-    correct = const0 & const1 & sides_differ
-    return correct, distinct_counts(np.concatenate([vals0, vals1], axis=1)) == 2
+    corpora = np.concatenate([vals0, vals1], axis=1)[:, None]  # one row each
+    swapped = (np.arange(n) >= n0)[None]
+    both = side_conserved(corpora, ~swapped) & side_conserved(corpora, swapped)
+    correct = both[:, 0] & (vals0[:, 0] != vals1[:, 0])
+    return correct, row_stats(corpora[:, 0])[0] == 2
 
 
 def _mc_two_value(event, params, trials, rng):
@@ -243,11 +239,7 @@ def _mc_conserved_rows(event, params, trials, rng):
     for batch in _chunks(sampler, trials, rng):
         swapped = swaps[batch.perm_index]
         side = ~swapped if event == "l0_exact" else swapped
-        records = batch.values.transpose(0, 2, 1)
-        first = records[np.arange(len(records)), side.argmax(axis=1)]
-        # A row is conserved when every column on the side agrees with the
-        # side's first column there.
-        conserved = ((records == first[:, None]) | ~side[:, :, None]).all(axis=1)
+        conserved = side_conserved(batch.values, side)  # the two-block solver's rule
         noise_free = np.ones(conserved.shape, dtype=bool)
         np.put_along_axis(noise_free, batch.loci, False, axis=1)
         if event == "l1_exact":
@@ -270,9 +262,9 @@ def _mc_prefix_partition(event, params, trials, rng):
         # partitions and their common refinement have equally many parts.
         row0 = batch.values[:, 0]
         first_block = first_of[batch.perm_index]
-        parts = distinct_counts(row0)
+        parts = row_stats(row0)[0]
         same = ((parts == realized)
-                & (parts == distinct_counts(first_block * params.q + row0)))
+                & (parts == row_stats(first_block * params.q + row0)[0]))
         hits += int(np.count_nonzero(same))
     return _report(event, closed, hits, trials)
 

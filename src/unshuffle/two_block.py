@@ -7,9 +7,10 @@ corpus alone; swapping sides replaces the shift by its complement).
 
 Each side sees the template only at its conserved rows: side 0 through
 column 0, side 1 through its first column, each a (values, defined) pair of
-arrays.  The shift between them is read off an exact histogram of position
-offsets over all pairs of equal defined values, and the swapped columns are
-then rotated back by that shift.
+arrays; ``side_conserved`` finds them, here and in the Monte Carlo check of
+their closed form.  The shift between them is read off an exact histogram
+of position offsets over all pairs of equal defined values, and the swapped
+columns are then rotated back by that shift.
 
 The aligned corpus is built record by record, in the layout it is written
 in: the unswapped records are copied, the swapped ones rotated, whatever
@@ -59,22 +60,24 @@ def estimate_swapped_columns(corpus: ShuffledCorpus) -> np.ndarray:
     return sides[winner]
 
 
+def side_conserved(values: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Rows constant over one side: for values (..., L, N) and a side mask
+    (..., N), the (..., L) mask of rows where every column on the side equals
+    the side's first column.  ``~side`` is ORed in place, so no side is copied."""
+    first = np.take_along_axis(values, side.argmax(axis=-1)[..., None, None], axis=-1)
+    same = values == first
+    same |= ~side[..., None, :]
+    return same.all(axis=-1)
+
+
 def estimate_conserved_rows(corpus: ShuffledCorpus, swapped: np.ndarray) -> np.ndarray:
     """The (2, L) mask of rows constant over the unswapped columns (row 0)
-    and over the swapped columns (row 1), given the (N,) swapped mask.  Each
-    side is compared with its first column on a bool mask, so no side is
-    copied."""
-    values = corpus.values
+    and over the swapped columns (row 1), given the (N,) swapped mask."""
     if swapped.shape != (corpus.n_cols,):
         raise ValueError(f"swapped mask must have shape ({corpus.n_cols},)")
     if not swapped.any() or swapped.all():
         raise ValueError("swapped column set must be nonempty and proper")
-    conserved = np.empty((2, corpus.n_rows), dtype=bool)
-    for row, side in zip(conserved, (~swapped, swapped)):
-        same = values == values[:, np.argmax(side), None]
-        same |= ~side
-        same.all(axis=1, out=row)
-    return conserved
+    return np.stack([side_conserved(corpus.values, side) for side in (~swapped, swapped)])
 
 
 def align_cyclic(v0: np.ndarray, d0: np.ndarray,

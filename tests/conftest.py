@@ -1,6 +1,10 @@
 """Shared pytest plumbing: collects acceptance verdict lines and prints them
 after the run, outside of output capture."""
 
+import numpy as np
+
+from unshuffle.partitions import row_stats
+
 acceptance_lines = []
 
 
@@ -23,3 +27,23 @@ def row_partition(row):
 def column_sigmas(truth):
     """Oracle: each column's block-level permutation, as a list of tuples."""
     return [truth.sigmas[i] for i in truth.perm_index.tolist()]
+
+
+def assert_row_stats_match_unique_loop(values):
+    """Oracle for ``row_stats``, row by row with ``np.unique``."""
+    # [DERIVED] the size is the number of distinct values; the middle keeps
+    # the dtype; the middle's count, taken as the outlier repair takes it,
+    # never exceeds the top count; where one value fills more than half the
+    # row, or the row has at most two entries, the middle is the smallest
+    # top value and the count its count.
+    sizes, middle = row_stats(values)
+    counts = np.count_nonzero(values == middle[:, None], axis=1)
+    n_cols = values.shape[1]
+    assert middle.dtype == values.dtype
+    for row in range(len(values)):
+        uniq, cnt = np.unique(values[row], return_counts=True)
+        assert sizes[row] == len(uniq)
+        best = int(np.argmax(cnt))  # first maximum: the smallest value on ties
+        assert counts[row] <= cnt[best]
+        if 2 * cnt[best] > n_cols or n_cols <= 2:
+            assert (middle[row], counts[row]) == (uniq[best], cnt[best])

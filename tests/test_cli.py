@@ -217,13 +217,28 @@ def test_usage_errors(tmp_path, capsys):
             assert capsys.readouterr().err.strip() == f"verify-prob: {message}"
 
 
-def test_solver_failure_exit_code(tmp_path):
-    # a constant corpus has no two-valued rows: solver-declared failure
-    out = tmp_path / "flat.bin"
-    code = run("--seed", 1, "gen", "--q", 5, "--lengths", "2,3", "--n", 4,
-               "--lambda", 0.0, "--nu", 0.0, "--out", out)
-    assert code == 0
-    assert run("unshuffle2", out, "--record-len", 5) == 1
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # A constant corpus has no two-valued rows, and a single record has no
+    # bipartition: solver-declared failures.  Each writes its report over a
+    # stale one that said success.
+    flat, single = tmp_path / "flat.bin", tmp_path / "single.bin"
+    assert run("--seed", 1, "gen", "--q", 5, "--lengths", "2,3", "--n", 4,
+               "--lambda", 0.0, "--nu", 0.0, "--out", flat) == 0
+    assert run("--seed", 1, "gen", "--q", 3, "--lengths", "3,3", "--n", 1,
+               "--out", single) == 0
+    report = tmp_path / "r.json"
+    for corpus, record_len, reason in (
+            (flat, 5, "no two-valued rows; nothing to unshuffle"),
+            (single, 6, "need at least two columns")):
+        report.write_text(json.dumps({"success": True}))
+        capsys.readouterr()
+        assert run("unshuffle2", corpus, "--record-len", record_len,
+                   "--json-report", report) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "unshuffle2: FAILED"
+        doc = json.loads(report.read_text())
+        assert doc["command"] == "unshuffle2" and doc["success"] is False
+        assert doc["result"] == {"failure_reason": reason}
+    assert run("unshuffle2", flat, "--record-len", 5) == 1
 
 
 # Each case's --truth scoring finds the solver's answer wrong; the report

@@ -1,7 +1,8 @@
 """Guard against regrowth: every name the package exports has a caller in
 the library itself or in the acceptance criteria, not only in unit tests;
-and the benchmark tracer still finds the names it wraps, and its counters
-still read what the solvers pass and return."""
+rows are sorted only by ``partitions.row_stats``; and the benchmark tracer
+still finds the names it wraps, and its counters still read what the
+solvers pass and return."""
 
 import ast
 import importlib.util
@@ -34,6 +35,16 @@ def test_every_export_has_a_caller():
             for owner, name in loaded_names(path) if owner != name}
     used |= {name for _, name in loaded_names(TESTS / "test_acceptance.py")}
     assert sorted(exported - used) == []
+
+
+def test_rows_are_sorted_only_in_partitions():
+    # The solvers and the Monte Carlo read partition sizes and row modes
+    # from partitions.row_stats; a second row sort beside it is a regrowth.
+    for name in ("multi_block.py", "two_block.py", "probs.py"):
+        calls = [node.func for node in ast.walk(ast.parse((SRC / name).read_text()))
+                 if isinstance(node, ast.Call)]
+        sorts = [getattr(func, "attr", getattr(func, "id", None)) for func in calls]
+        assert "sort" not in sorts, name
 
 
 # Names bench/spans.py wraps that the library no longer has; the benchmark

@@ -1,10 +1,11 @@
 """M-block unshuffling: alignment, boundary detection, and full recovery."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import column_sigmas
+from conftest import assert_row_stats_match_unique_loop, column_sigmas
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,14 +15,14 @@ from unshuffle.corpus_io import CorpusSpec, load_corpus, write_corpus
 from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate, make_rng
 from unshuffle.multi_block import (
     MUnshuffleResult,
+    _alphabet,
     _roll_columns,
-    _row_stats,
     detect_block_boundary,
     lex_best_shifts,
     unshuffle_m,
     weighted_shift_align,
 )
-from unshuffle.partitions import distinct_counts
+from unshuffle.partitions import row_stats
 from unshuffle.perms import (
     BlockStructure,
     all_perms,
@@ -96,22 +97,15 @@ def test_lex_best_shifts_matches_weighted_oracle(case):
 
 
 @settings(deadline=None, max_examples=300)
-@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
-              elements=st.integers(0, 2)))
-def test_row_stats_matches_unique_loop(values):
-    # [DERIVED] the size is the number of distinct values; the count never
-    # exceeds the top count; where one value fills more than half the row,
-    # or the row has at most two entries, the middle is the smallest top
-    # value and the count its count.
-    sizes, middle, counts = _row_stats(values)
-    n_cols = values.shape[1]
-    for row in range(len(values)):
-        uniq, cnt = np.unique(values[row], return_counts=True)
-        assert sizes[row] == len(uniq)
-        best = int(np.argmax(cnt))  # first maximum: the smallest value on ties
-        assert counts[row] <= cnt[best]
-        if 2 * cnt[best] > n_cols or n_cols <= 2:
-            assert (middle[row], counts[row]) == (uniq[best], cnt[best])
+@given(st.sampled_from([np.uint8, np.uint16, np.int64]), st.sampled_from([2, 5]),
+       st.data())
+def test_row_stats_matches_unique_loop(dtype, top, data):
+    # The sizes and middles the outlier repair reads.  1-byte rows are sorted
+    # as int16 inside the kernel; a 3-symbol alphabet makes majorities and
+    # ties common.
+    assert_row_stats_match_unique_loop(data.draw(arrays(
+        dtype, st.tuples(st.integers(1, 12), st.integers(1, 20)),
+        elements=st.integers(0, top))))
 
 
 @settings(deadline=None, max_examples=200)
@@ -156,15 +150,30 @@ def test_roll_columns_in_blocks():
 def test_rounds_whose_repair_moves_nothing_sort_once(monkeypatch):
     # In this noiseless corpus the outlier repair moves no column, so each
     # round's partition sizes come from the repair's one sort.  Every row
-    # sort of the library goes through ``sorted_rows``.
+    # sort of the library is a ``row_stats`` call (test_exports guards it).
     calls = []
-    real = partitions.sorted_rows
-    for module in (multi_block, partitions):
-        monkeypatch.setattr(module, "sorted_rows",
-                            lambda values: calls.append(1) or real(values))
+    monkeypatch.setattr(multi_block, "row_stats",
+                        lambda values: calls.append(1) or partitions.row_stats(values))
     result = unshuffle_m(all_cbp_corpus((2, 3, 4), q=17)[0])
     assert result.success
     assert len(calls) == len(result.trace)
+
+
+def test_alphabet_is_counted_in_row_blocks():
+    # At q=4096 the symbols are bincounted about 2**18 entries at a time, so
+    # the count's peak memory stays below an int64 copy of the corpus (one
+    # bincount of the whole corpus makes that copy).
+    values = np.random.default_rng(5).integers(0, 4000, (820, 4000)).astype(np.uint16)
+    values[7, 7] = 4095
+    tracemalloc.start()
+    try:
+        counted = _alphabet(ShuffledCorpus(values=values, q=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == (len(np.unique(values)), 4096)
+    assert peak < values.size * 8
+    assert _alphabet(ShuffledCorpus(values=np.zeros((3, 0), dtype=np.uint16), q=5)) == (0, 0)
 
 
 def test_boundary_detection_by_hand():
@@ -175,7 +184,7 @@ def test_boundary_detection_by_hand():
         [4, 4, 4, 4, 7, 7, 7, 7],
         [0, 1, 2, 3, 4, 5, 6, 7],
     ])
-    assert detect_block_boundary(distinct_counts(values), 2) == 2
+    assert detect_block_boundary(row_stats(values)[0], 2) == 2
 
 
 @settings(deadline=None)
@@ -188,12 +197,12 @@ def test_boundary_matches_row_loop(values, threshold):
         if 2 <= len(np.unique(values[row])) <= threshold:
             expected = row
             break
-    assert detect_block_boundary(distinct_counts(values), threshold) == expected
+    assert detect_block_boundary(row_stats(values)[0], threshold) == expected
 
 
 def test_boundary_no_structured_row():
     values = np.tile(np.array([[2], [5], [1]]), (1, 6))
-    assert detect_block_boundary(distinct_counts(values), 2) == 3
+    assert detect_block_boundary(row_stats(values)[0], 2) == 3
 
 
 def test_noiseless_exhaustive_tiny():
@@ -350,7 +359,7 @@ def recovery_cases(draw):
         cuts = [0, *sorted(inner), total]
         lengths = tuple(b - a for a, b in zip(cuts, cuts[1:]))
     result = MUnshuffleResult(
-        block_count=len(lengths), lengths=lengths, column_perms=np.array(perms),
+        lengths=lengths, column_perms=np.array(perms),
         aligned=ShuffledCorpus(values=np.zeros((total, n_cols), dtype=np.int64), q=2),
         trace=(), success=not failed)
     distinct = tuple(sorted(set(sigmas)))
@@ -491,6 +500,24 @@ def test_second_repair_pass_recovers(tmp_path):
     code, doc = solve_headline_job(tmp_path, 1000030, 64, 1)
     assert code == 0 and doc["diagnostics"]["recovered"]
     assert sorted(doc["result"]["lengths"]) == sorted(HEADLINE_LENGTHS)
+
+
+def test_short_record_false_successes_do_not_grow():
+    # Six blocks of length 3, q=256, lambda=0.3, N=80 (the headline
+    # multiplicities over one seeded pool), seeds 0-199: 165 runs recover,
+    # 27 fail, and 8 report success with a wrong alignment (6 of them with
+    # the right lengths).  The solver cannot yet refuse these; their count
+    # must not grow.
+    pool = headline_pool(make_rng(10_000))
+    false_successes = 0
+    for seed in range(200):
+        params = ModelParams(q=256, blocks=BlockStructure((3,) * 6), num_messages=80,
+                             noise_fraction=0.3, shuffle=dict(zip(pool, HEADLINE_MULT)),
+                             restricted_prefix=True, seed=seed)
+        corpus, truth = generate(params)
+        result = unshuffle_m(corpus)
+        false_successes += result.success and not m_block_recovery(result, truth)
+    assert false_successes <= 8
 
 
 @pytest.mark.parametrize("lengths", [(1, 1, 1, 1), (1, 2, 1, 2)])

@@ -1,18 +1,18 @@
-"""Row-induced partitions: their sizes, the CSV profile, and the partition
-oracle the tests share."""
+"""Row-induced partitions: the row-statistics kernel, the CSV profile, and
+the partition oracle the tests share."""
 
 import csv
 
 import numpy as np
-from conftest import row_partition
+from conftest import assert_row_stats_match_unique_loop, row_partition
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unshuffle.model import ShuffledCorpus
 from unshuffle.partitions import (
-    distinct_counts,
     partition_profile,
     profile_to_csv,
+    row_stats,
     two_valued_rows,
 )
 
@@ -38,23 +38,26 @@ def test_partition_profile():
     profile = partition_profile(c)
     assert profile.sizes == (1, 2, 3)
     assert profile.max_size == 3
+    # rows without entries: size 1, as one empty part
+    assert partition_profile(corpus([[], []])).sizes == (1, 1)
 
 
 @settings(deadline=None)
 @given(arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
               elements=st.integers(0, 5)))
 def test_distinct_counts_matches_unique(values):
-    counts = distinct_counts(values)
-    assert counts.tolist() == [len(np.unique(row)) for row in values]
+    # a row's size from ``row_stats`` is its count of distinct values
+    sizes = row_stats(values)[0]
+    assert sizes.tolist() == [len(np.unique(row)) for row in values]
 
 
-def test_distinct_counts_wide_rows():
+def test_row_stats_wide_rows():
     # 2**18 // 70001 = 3 rows per sorted block: blocks of 3, 3 and 1 rows.
     values = np.random.default_rng(3).integers(0, 50000, size=(7, 70000))
     values[2] = 4
     values[5, ::2] = 9
-    counts = distinct_counts(values)
-    assert counts.tolist() == [len(np.unique(row)) for row in values]
+    values[6, :40000] = 7
+    assert_row_stats_match_unique_loop(values)
 
 
 def test_two_valued_rows():

@@ -9,7 +9,7 @@ from conftest import column_sigmas, row_partition
 from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.model import ModelParams, generate, make_rng
-from unshuffle.partitions import distinct_counts
+from unshuffle.partitions import row_stats
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import (
     MC_EVENTS,
@@ -88,7 +88,7 @@ def test_prefix_partition_prob():
                                   (4096, 400)])
 def test_occupancy_matches_monte_carlo(q, n):
     trials = 2000
-    counts = distinct_counts(make_rng(q * n).integers(0, q, size=(trials, n)))
+    counts = row_stats(make_rng(q * n).integers(0, q, size=(trials, n)))[0]
     mean, sd = occupancy(q, n)
     assert abs(counts.mean() - mean) <= 4 * sd / math.sqrt(trials)
     assert counts.std() == pytest.approx(sd, rel=0.1)

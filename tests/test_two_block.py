@@ -15,6 +15,7 @@ from unshuffle.two_block import (
     align_cyclic,
     estimate_conserved_rows,
     estimate_swapped_columns,
+    side_conserved,
     unshuffle2,
 )
 
@@ -145,6 +146,21 @@ def test_conserved_rows_match_row_loop(case):
     conserved = estimate_conserved_rows(corpus, swapped)
     assert conserved.shape == (2, corpus.n_rows) and conserved.dtype == bool
     assert conserved.tolist() == conserved_rows_oracle(corpus.values, swapped)
+
+
+@settings(deadline=None, max_examples=200)
+@given(dtype=st.sampled_from([np.uint8, np.uint16, np.int64]), data=st.data(),
+       shape=st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 10)))
+def test_side_conserved_on_a_batch_matches_one_corpus_at_a_time(dtype, data, shape):
+    # The Monte Carlo of the conserved-row closed forms calls the kernel on a
+    # (T, L, N) batch with a (T, N) side per corpus; the solver calls it on
+    # one (L, N) corpus.  Sides may be empty or whole.
+    values = data.draw(arrays(dtype, shape, elements=st.integers(0, 2)))
+    side = data.draw(arrays(np.bool_, (shape[0], shape[2])))
+    conserved = side_conserved(values, side)
+    assert conserved.shape == shape[:2] and conserved.dtype == bool
+    for t in range(shape[0]):
+        assert np.array_equal(conserved[t], side_conserved(values[t], side[t]))
 
 
 def test_generated_recovery_noiseless():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.model import ModelParams, ShuffledCorpus, generate
-from unshuffle.multi_block import _row_stats, unshuffle_m
+from unshuffle.multi_block import unshuffle_m
+from unshuffle.partitions import row_stats
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.two_block import (
     NotIdentifiableError,
@@ -44,9 +45,16 @@ def outcome(solve, corpus):
         return type(exc), str(exc)
 
 
+def stats_and_counts(values):
+    """Each row's size and middle entry, and the middle's count as the
+    M-block outlier repair takes it."""
+    sizes, middle = row_stats(values)
+    return sizes, middle, np.count_nonzero(values == middle[:, None], axis=1)
+
+
 def assert_same_rows(wide, narrow):
-    wide_sizes, wide_modes, wide_counts = _row_stats(wide.values)
-    narrow_sizes, narrow_modes, narrow_counts = _row_stats(narrow.values)
+    wide_sizes, wide_modes, wide_counts = stats_and_counts(wide.values)
+    narrow_sizes, narrow_modes, narrow_counts = stats_and_counts(narrow.values)
     assert narrow_modes.dtype == narrow.values.dtype
     assert np.array_equal(wide_sizes, narrow_sizes)
     assert np.array_equal(wide_modes, narrow_modes)
@@ -112,6 +120,6 @@ def test_majority_rows_ties_at_the_top_of_the_range(word):
     # the row's middle, also when the larger is the dtype's maximum.
     top = int(np.iinfo(word).max)
     rows = np.array([[top, 0, top, 0], [top, top - 1, top - 1, top]])
-    sizes, modes, counts = _row_stats(rows.astype(word))
+    sizes, modes, counts = stats_and_counts(rows.astype(word))
     assert sizes.tolist() == [2, 2]
     assert modes.tolist() == [0, top - 1] and counts.tolist() == [2, 2]
