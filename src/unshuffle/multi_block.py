@@ -28,6 +28,7 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import row_stats
+from .perms import rotate_columns
 from .probs import occupancy
 
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
@@ -79,8 +80,10 @@ def lex_best_shifts(ref: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
             active, cand, cols = active[~done], cand[:, ~done], cols[:, ~done]
             if not len(active):
                 break
-        eq = cols == ref[l]
-        hits = np.concatenate((eq[l:], eq[:l])) & cand  # hits[s] = eq[(l+s) mod L]
+        hits = np.empty_like(cand)  # hits[s] = (cols[(l+s) mod L] == ref[l])
+        np.equal(cols[l:], ref[l], out=hits[:size - l])
+        np.equal(cols[:l], ref[l], out=hits[size - l:])
+        hits &= cand
         matched = hits.any(axis=0)
         cand[:, matched] = hits[:, matched]
     shifts[active] = cand.argmax(axis=0)
@@ -125,36 +128,19 @@ def _repair_outliers(aligned: np.ndarray):
     extra = np.zeros(n_cols, dtype=np.intp)
     for _ in range(REPAIR_PASSES):
         sizes, middle = row_stats(aligned)
-        counts = np.count_nonzero(aligned == middle[:, None], axis=1)
-        trusted = np.flatnonzero(counts >= n_cols - tol)
+        match = aligned == middle[:, None]
+        trusted = np.flatnonzero(np.count_nonzero(match, axis=1) >= n_cols - tol)
         if len(trusted) == 0:
             return extra, sizes
-        agreement = (aligned[trusted] == middle[trusted, None]).mean(axis=0)
+        agreement = match[trusted].mean(axis=0)
         outliers = np.flatnonzero(agreement < 0.7)
         if len(outliers) == 0:
             return extra, sizes
         shifts = np.zeros(n_cols, dtype=np.intp)
         shifts[outliers] = lex_best_shifts(middle, aligned[:, outliers], trusted)
-        _roll_columns(aligned, shifts)
+        rotate_columns(aligned, shifts)
         extra = (extra + shifts) % size
     return extra, row_stats(aligned)[0]
-
-
-def _roll_columns(values: np.ndarray, shifts: np.ndarray) -> None:
-    """Rotate column k of ``values`` up by ``shifts[k]`` rows (0 <= shifts[k]
-    <= the row count), in place.  The moved columns are taken as records and
-    each is laid twice end to end; one gather then reads every record's
-    window from its shift on, each window a contiguous run.  Columns go
-    through about 2**18 entries at a time, so the transposing copies stay in
-    cache."""
-    moved = np.flatnonzero(shifts)
-    step = max(1, 2 ** 18 // len(values))
-    for start in range(0, len(moved), step):
-        cols = moved[start:start + step]
-        records = values[:, cols].T
-        doubled = np.concatenate((records, records), axis=1)
-        windows = np.lib.stride_tricks.sliding_window_view(doubled, len(values), axis=1)
-        values[:, cols] = windows[np.arange(len(cols)), shifts[cols]].T
 
 
 def _alphabet(corpus: ShuffledCorpus) -> tuple:
@@ -162,22 +148,21 @@ def _alphabet(corpus: ShuffledCorpus) -> tuple:
     Symbols below 2**16 are bincounted about 2**18 entries at a time, so no
     intp copy of the whole corpus is made; wider ones go through np.unique."""
     values = corpus.values
-    if values.dtype.itemsize <= 2 or corpus.q <= 2 ** 16:
-        span = int(values.max()) + 1 if values.size else 0
-        hist = np.zeros(span, dtype=np.intp)
-        step = max(1, 2 ** 18 // (values.shape[1] + 1))
-        for start in range(0, len(values), step):
-            hist += np.bincount(values[start:start + step].ravel(), minlength=span)
-        return int(np.count_nonzero(hist)), span
-    symbols = np.unique(values)
-    return len(symbols), int(symbols[-1]) + 1 if len(symbols) else 0
+    span = int(values.max()) + 1 if values.size else 0
+    if span > 2 ** 16:
+        return len(np.unique(values)), span
+    hist = np.zeros(span, dtype=np.intp)
+    step = max(1, 2 ** 18 // (values.shape[1] + 1))
+    for start in range(0, len(values), step):
+        hist += np.bincount(values[start:start + step].ravel(), minlength=span)
+    return int(np.count_nonzero(hist)), span
 
 
 def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     """Iterate align + truncate until the rows are exhausted.  Each round
-    rotates the row suffix of every column; the rotations accumulate in one
-    (L, N) index array whose column k is column k's permutation of the full
-    record; the result's ``column_perms`` is its (N, L) transposed view."""
+    rotates the row suffix of every column with ``rotate_columns``; the
+    rotations accumulate in one (L, N) index array whose column k is column
+    k's permutation of the full record; ``column_perms`` is its transpose."""
     total = corpus.n_rows
     n_cols = corpus.n_cols
     # Threshold alphabet: the smallest Z/qZ holding the symbols (span <= q).
@@ -197,10 +182,10 @@ def unshuffle_m(corpus: ShuffledCorpus) -> MUnshuffleResult:
     while start < total:
         rem = total - start
         shifts = weighted_shift_align(ShuffledCorpus(values=working[start:], q=corpus.q))
-        _roll_columns(working[start:], shifts)
+        rotate_columns(working[start:], shifts)
         extra, sizes[start:] = _repair_outliers(working[start:])
         shifts = (shifts + extra) % rem
-        _roll_columns(index[start:], shifts)
+        rotate_columns(index[start:], shifts)
         boundary = detect_block_boundary(sizes[start:], threshold)
         shifts = tuple(shifts.tolist())
         trace.append(RoundTrace(start_row=start, shifts=shifts, boundary=boundary))

@@ -36,14 +36,15 @@ def row_stats(values: np.ndarray) -> tuple:
     """Per row of a 2-D integer array, from one sort: the partition size
     (number of distinct values) and the lower-middle sorted entry, in the
     array's dtype.  Rows are sorted about 2**18 entries at a time, so the
-    sorted copy stays in cache and off the peak memory of a large corpus."""
+    sorted copy stays in cache and off the peak memory of a large corpus;
+    the copy is row-major, so a record-major corpus sorts as fast."""
     n_cols = values.shape[1]
     step = max(1, 2 ** 18 // (n_cols + 1))
     wide = np.int16 if values.dtype.itemsize == 1 else values.dtype
     sizes = np.empty(len(values), dtype=np.intp)
     middle = np.zeros(len(values), dtype=values.dtype)
     for start in range(0, len(values), step):
-        ordered = values[start:start + step].astype(wide)
+        ordered = values[start:start + step].astype(wide, order="C")
         ordered.sort(axis=1)
         sizes[start:start + step] = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
         if n_cols:  # rows without entries keep middle 0

@@ -14,7 +14,8 @@ on column vectors.  Consequently
 
     ``apply_perm(compose(p, q), v) == apply_perm(q, apply_perm(p, v))``
 
-with ``compose(p, q)[a] == p[q[a]]``.
+with ``compose(p, q)[a] == p[q[a]]``.  :func:`rotate_columns`, through which
+both unshufflers realign, applies ``a -> (a + shifts[k]) mod L`` to column k.
 
 The package builds coherent block permutations through one array table,
 :func:`coherent_block_table`.  The operad-composed tuple forms remain as the
@@ -77,6 +78,23 @@ def apply_perm(p: Sequence[int], v):
     if isinstance(v, np.ndarray):
         return v[np.fromiter(p, dtype=np.intp, count=len(p))]
     return tuple(v[a] for a in p)
+
+
+def rotate_columns(values: np.ndarray, shifts: np.ndarray) -> None:
+    """Rotate column k of ``values`` up by ``shifts[k]`` rows (0 <= shifts[k]
+    <= the row count), in place.  The moved columns are taken as records and
+    each is laid twice end to end; one gather then reads every record's
+    window from its shift on, each window a contiguous run.  Columns go
+    through about 2**18 entries at a time, so the transposing copies stay in
+    cache."""
+    moved = np.flatnonzero(shifts)
+    step = max(1, 2 ** 18 // len(values))
+    for start in range(0, len(moved), step):
+        cols = moved[start:start + step]
+        records = values[:, cols].T
+        doubled = np.concatenate((records, records), axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, len(values), axis=1)
+        values[:, cols] = windows[np.arange(len(cols)), shifts[cols]].T
 
 
 def random_perm(n: int, rng: np.random.Generator) -> Perm:

@@ -10,11 +10,8 @@ column 0, side 1 through its first column, each a (values, defined) pair of
 arrays; ``side_conserved`` finds them, here and in the Monte Carlo check of
 their closed form.  The shift between them is read off an exact histogram
 of position offsets over all pairs of equal defined values, and the swapped
-columns are then rotated back by that shift.
-
-The aligned corpus is built record by record, in the layout it is written
-in: the unswapped records are copied, the swapped ones rotated, whatever
-the dtype and layout of the input.
+columns are then rotated back by that shift with ``perms.rotate_columns``,
+the cyclic-shift kernel the M-block solver realigns its columns with.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import two_valued_rows
+from .perms import rotate_columns
 
 
 class NotIdentifiableError(RuntimeError):
@@ -106,17 +104,14 @@ def align_cyclic(v0: np.ndarray, d0: np.ndarray,
 def unshuffle2(corpus: ShuffledCorpus) -> TwoUnshuffleResult:
     """Full pipeline: swapped set, conserved rows, cyclic alignment of the
     side templates, and corpus realignment.  The aligned corpus has the
-    input's dtype and is stored record by record."""
+    input's dtype and is stored record by record, the layout it is written in."""
     values = corpus.values
     swapped = estimate_swapped_columns(corpus)
     conserved = estimate_conserved_rows(corpus, swapped)
     shift, score = align_cyclic(values[:, 0], conserved[0],
                                 values[:, np.argmax(swapped)], conserved[1])
-    records = values.T
-    out = np.empty(records.shape, dtype=records.dtype)
-    out[~swapped] = records[~swapped]
-    out[swapped] = np.roll(records[swapped], shift, axis=1)
-    return TwoUnshuffleResult(swapped=swapped, first_block_len=shift,
-                              conserved=conserved,
-                              aligned=ShuffledCorpus(values=out.T, q=corpus.q),
+    aligned = values.copy(order="F")
+    rotate_columns(aligned, np.where(swapped, -shift % len(values), 0))
+    return TwoUnshuffleResult(swapped=swapped, first_block_len=shift, conserved=conserved,
+                              aligned=ShuffledCorpus(values=aligned, q=corpus.q),
                               score=score)

@@ -1,6 +1,7 @@
 """Guard against regrowth: every name the package exports has a caller in
 the library itself or in the acceptance criteria, not only in unit tests;
-rows are sorted only by ``partitions.row_stats``; and the benchmark tracer
+rows are sorted only by ``partitions.row_stats`` and the solvers' columns
+rotated only by ``perms.rotate_columns``; and the benchmark tracer
 still finds the names it wraps, and its counters still read what the
 solvers pass and return."""
 
@@ -37,14 +38,26 @@ def test_every_export_has_a_caller():
     assert sorted(exported - used) == []
 
 
+def called_names(name):
+    """The function or method name of every call a module makes."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse((SRC / name).read_text()))
+            if isinstance(node, ast.Call)}
+
+
 def test_rows_are_sorted_only_in_partitions():
     # The solvers and the Monte Carlo read partition sizes and row modes
     # from partitions.row_stats; a second row sort beside it is a regrowth.
     for name in ("multi_block.py", "two_block.py", "probs.py"):
-        calls = [node.func for node in ast.walk(ast.parse((SRC / name).read_text()))
-                 if isinstance(node, ast.Call)]
-        sorts = [getattr(func, "attr", getattr(func, "id", None)) for func in calls]
-        assert "sort" not in sorts, name
+        assert "sort" not in called_names(name), name
+
+
+def test_columns_are_rotated_only_in_perms():
+    # Both solvers realign their columns through perms.rotate_columns; a
+    # roll or a concatenation of shifted halves beside it is a regrowth.
+    # scoring and probs keep their 1-D rolls of masks.
+    for name in ("multi_block.py", "two_block.py"):
+        assert not {"roll", "concatenate"} & called_names(name), name
 
 
 # Names bench/spans.py wraps that the library no longer has; the benchmark

@@ -16,7 +16,6 @@ from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate, 
 from unshuffle.multi_block import (
     MUnshuffleResult,
     _alphabet,
-    _roll_columns,
     detect_block_boundary,
     lex_best_shifts,
     unshuffle_m,
@@ -106,45 +105,6 @@ def test_row_stats_matches_unique_loop(dtype, top, data):
     assert_row_stats_match_unique_loop(data.draw(arrays(
         dtype, st.tuples(st.integers(1, 12), st.integers(1, 20)),
         elements=st.integers(0, top))))
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data(), rem=st.integers(1, 9), n_cols=st.integers(1, 12),
-       start=st.integers(0, 3), step=st.sampled_from([1, 2]),
-       dtype=st.sampled_from([np.uint8, np.uint16, np.int64]), index=st.booleans(),
-       moved=st.sampled_from(["none", "all", "mixed"]))
-def test_roll_columns_matches_np_roll(data, rem, n_cols, start, step, dtype, index,
-                                     moved):
-    # unshuffle_m rotates the row suffix working[start:] of its values and of
-    # its row index (each column 0, 1, ..., in uint8 or uint16); a column
-    # view with step 2 is not contiguous.  Shifts lie in [0, rem].
-    total = start + rem
-    if index and dtype != np.int64:
-        base = np.repeat(np.arange(total, dtype=dtype)[:, None], n_cols * step, axis=1)
-    else:
-        info = np.iinfo(dtype)
-        base = data.draw(arrays(dtype, (total, n_cols * step),
-                                elements=st.integers(info.min, info.max)))
-    low, high = int(moved == "all"), 0 if moved == "none" else rem
-    shifts = np.array(data.draw(st.lists(st.integers(low, high), min_size=n_cols,
-                                         max_size=n_cols)), dtype=np.intp)
-    expected = base.copy()
-    view = expected[start:, ::step]
-    for k, s in enumerate(shifts):
-        view[:, k] = np.roll(view[:, k], -s)
-    _roll_columns(base[start:, ::step], shifts)
-    assert base.dtype == expected.dtype and np.array_equal(base, expected)
-
-
-def test_roll_columns_in_blocks():
-    # Columns are rotated about 2**18 entries at a time: with 3 rows, these
-    # 174,767 columns make three blocks.
-    rng = np.random.default_rng(3)
-    values = rng.integers(0, 256, (3, 2 ** 18 // 3 * 2 + 5)).astype(np.uint8)
-    shifts = rng.integers(0, 4, values.shape[1])
-    expected = np.take_along_axis(values, (np.arange(3)[:, None] + shifts) % 3, axis=0)
-    _roll_columns(values, shifts)
-    assert np.array_equal(values, expected)
 
 
 def test_rounds_whose_repair_moves_nothing_sort_once(monkeypatch):

@@ -43,12 +43,17 @@ def test_partition_profile():
 
 
 @settings(deadline=None)
-@given(arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
-              elements=st.integers(0, 5)))
-def test_distinct_counts_matches_unique(values):
-    # a row's size from ``row_stats`` is its count of distinct values
-    sizes = row_stats(values)[0]
+@given(st.sampled_from([np.uint8, np.int64]), st.data())
+def test_distinct_counts_matches_unique(dtype, data):
+    # a row's size from ``row_stats`` is its count of distinct values.  A
+    # record-major (F-order) copy, the layout of corpora generated in memory,
+    # gives the same sizes and middles as the row-major one a load gives.
+    values = data.draw(arrays(dtype, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+                              elements=st.integers(0, 5)))
+    sizes, middle = row_stats(values)
     assert sizes.tolist() == [len(np.unique(row)) for row in values]
+    f_sizes, f_middle = row_stats(np.asfortranarray(values))
+    assert np.array_equal(f_sizes, sizes) and np.array_equal(f_middle, middle)
 
 
 def test_row_stats_wide_rows():

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unshuffle.perms import (
     BlockStructure,
@@ -20,6 +21,7 @@ from unshuffle.perms import (
     is_perm,
     operad_compose,
     random_perm,
+    rotate_columns,
     to_one_line,
 )
 
@@ -199,6 +201,54 @@ def test_coherent_block_table_matches_coherent_block_permutation(data, m):
     assert table.shape == (len(sigmas), blocks.total) and table.dtype == np.intp
     for sigma, row in zip(sigmas, table):
         assert tuple(row.tolist()) == coherent_block_permutation(sigma, blocks)
+
+
+def cyclic(size, shift):
+    """The cyclic permutation a -> (a + shift) mod size."""
+    return tuple((a + shift) % size for a in range(size))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), rem=st.integers(1, 9), n_cols=st.integers(1, 12),
+       start=st.integers(0, 3), step=st.sampled_from([1, 2]),
+       dtype=st.sampled_from([np.uint8, np.uint16, np.int64]), index=st.booleans(),
+       moved=st.sampled_from(["none", "all", "mixed"]), order=st.sampled_from("CF"))
+def test_rotate_columns_applies_cyclic_perms(data, rem, n_cols, start, step, dtype, index,
+                                             moved, order):
+    # unshuffle_m rotates the row suffix working[start:] of its values and of
+    # its row index (each column 0, 1, ..., in uint8 or uint16); a column
+    # view with step 2 is not contiguous.  unshuffle2 rotates a record-major
+    # (F-order) copy of its corpus.  Shifts lie in [0, rem].
+    total = start + rem
+    if index and dtype != np.int64:
+        base = np.repeat(np.arange(total, dtype=dtype)[:, None], n_cols * step, axis=1)
+    else:
+        info = np.iinfo(dtype)
+        base = data.draw(arrays(dtype, (total, n_cols * step),
+                                elements=st.integers(info.min, info.max)))
+    base = np.asarray(base, order=order)
+    low, high = int(moved == "all"), 0 if moved == "none" else rem
+    shifts = np.array(data.draw(st.lists(st.integers(low, high), min_size=n_cols,
+                                         max_size=n_cols)), dtype=np.intp)
+    expected = base.copy()
+    view = expected[start:, ::step]
+    for k, s in enumerate(shifts):
+        rotated = apply_perm(cyclic(rem, s), view[:, k])
+        assert np.array_equal(rotated, np.roll(view[:, k], -s))
+        view[:, k] = rotated
+    rotate_columns(base[start:, ::step], shifts)
+    assert base.dtype == expected.dtype and np.array_equal(base, expected)
+
+
+def test_rotate_columns_in_blocks():
+    # Columns are rotated about 2**18 entries at a time: with 3 rows, these
+    # 174,767 columns make three blocks.
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 256, (3, 2 ** 18 // 3 * 2 + 5)).astype(np.uint8)
+    shifts = rng.integers(0, 4, values.shape[1])
+    expected = np.take_along_axis(values, (np.arange(3)[:, None] + shifts) % 3, axis=0)
+    rotate_columns(values, shifts)
+    assert np.array_equal(values, expected)
 
 
 def test_subset_sums():

@@ -360,7 +360,9 @@ def test_swapped_vote_tie_break_matches_oracle(corpus):
 @settings(deadline=None)
 @given(corpus_values)
 def test_realignment_matches_per_column_permutations(values):
-    corpus = ShuffledCorpus(values=values, q=3)
+    # Loaded corpora are row-major, corpora generated in memory record-major
+    # (F-order); both realign to the same bytes, stored record by record.
+    corpus = ShuffledCorpus(values=np.ascontiguousarray(values), q=3)
     try:
         result = unshuffle2(corpus)
     except NotIdentifiableError:
@@ -370,3 +372,7 @@ def test_realignment_matches_per_column_permutations(values):
                 for n, col in enumerate(corpus.values.T)]
     assert result.aligned.q == corpus.q
     assert np.array_equal(result.aligned.values, np.column_stack(expected))
+    in_memory = unshuffle2(ShuffledCorpus(values=np.asfortranarray(values), q=3))
+    loaded, generated = result.aligned.values.T, in_memory.aligned.values.T
+    assert loaded.flags.c_contiguous and generated.flags.c_contiguous
+    assert generated.tobytes() == loaded.tobytes()
