@@ -135,13 +135,24 @@ def _json_indented(items, indent: str, brackets: str = "[]") -> str:
 def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` nested at ``indent``,
     for a document whose dict keys are strings (others are a TypeError): a
-    list of plain ints is formatted in one pass, and every other leaf by
-    ``json.dumps``, whose compact form of a leaf is the indented one."""
+    list of plain ints is formatted in one pass; ints, strings, booleans and
+    None as ``json.dumps`` writes them, without its per-call set-up; and
+    every other leaf by ``json.dumps``, whose compact form of a leaf is the
+    indented one."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     inner = indent + "  "
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be strings")
-        return _json_indented([f"{json.dumps(key)}: {_json_text(value[key], inner)}"
+        quote = json.encoder.encode_basestring_ascii
+        return _json_indented([f"{quote(key)}: {_json_text(value[key], inner)}"
                                for key in sorted(value)], indent, "{}")
     if isinstance(value, (list, tuple)):
         if set(map(type, value)) <= {int}:

@@ -7,15 +7,18 @@ blocks rearranged by a per-message coherent block permutation.
 
 The RNG contract is the per-trial call order: the template (then, with a
 distinguished prefix, its block-start values until they are distinct), the
-noise loci (``choice``), the column order (``permutation``), then the noise
-values column by column.  Identical seed and parameters give bit-identical
-output.  A zero-size draw consumes no randomness, so a model without noise
-loci makes neither noise call.  A batch of corpora draws trial after trial
-in exactly that order; the per-parameter set-up (:class:`Sampler`) is built
-once, and the assembly of the drawn values into columns is batched across
-trials.  Generated corpora come in the smallest word dtype that holds q
-(``uint8``, ``uint16`` or ``uint32``; int64 beyond 2**32 symbols), with
-each record contiguous.
+noise loci (``choice``), the column order (``permutation``), then the
+noise values column by column.  Identical seed and parameters give
+bit-identical output.  A zero-size draw consumes no randomness, so a model
+without noise loci draws neither loci nor noise values.  A batch of
+corpora draws trial after trial in exactly that order; the per-parameter
+set-up (:class:`Sampler`) is built once, and the assembly of the drawn
+values into columns is batched across trials.  Since a trial's noise and
+the next trial's template are both bounded int64 draws and numpy's bounded
+draws join end to end, the batch takes them in one call: the grouping of
+the calls changes, the stream does not.  Generated corpora come in the
+smallest word dtype that holds q (``uint8``, ``uint16`` or ``uint32``;
+int64 beyond 2**32 symbols), with each record contiguous.
 """
 
 from __future__ import annotations
@@ -209,44 +212,57 @@ class Sampler:
         Each trial makes its RNG calls in the contract's order: the
         template, the distinguished-prefix resampling, the noise loci
         (``choice``), the column order (``permutation``), then the (N, k)
-        noise values.  A zero-size draw consumes no randomness, so with no
-        noise loci neither noise call is made.  The rest is whole-array
-        work over the batch, in the word dtype: the loci are sorted, the
-        column order is mapped through the pool, every column starts as its
-        trial's template, the noise mod q goes in at the trial's loci, and
-        the columns of each moved sigma are gathered through its table row.
-        A one-trial batch and a many-trial batch differ only in their loci
-        index.  Records lie contiguous: ``values[t]`` is an (L, N) view of
-        an (N, L) array."""
+        noise values.  The noise values and the next trial's template come
+        from one ``integers`` call, the same draws as two calls: the
+        resampling reads its template from the tail of that draw, and the
+        last trial's call draws its noise alone.  A zero-size draw consumes
+        no randomness, so with no noise loci the loci call is skipped and
+        the last call draws nothing.  The loci are drawn as indices into
+        the allowed positions (``choice`` of an array draws the same
+        indices) and mapped through them once, after the loop.
+
+        The rest is whole-array work over the batch, in the word dtype.
+        Laid end to end, the draws are the trials' (template | noise)
+        records; a one-trial batch (every :func:`generate` call) uses its
+        two draws as they are, without the joined copy.  The loci are
+        sorted, the column order is mapped through the pool, every column
+        starts as its trial's template, the noise mod q goes in at the
+        trial's loci, and the columns of each moved sigma are gathered
+        through its table row.  Records lie contiguous: ``values[t]`` is an
+        (L, N) view of an (N, L) array."""
         params = self.params
         q, n, total, k = params.q, params.num_messages, params.blocks.total, params.noise_count
         starts, allowed = self.starts, self.allowed
-        templates = np.empty((trials, total), dtype=np.int64)
-        loci = np.empty((trials, k), dtype=np.intp)
-        orders = np.empty((trials, n), dtype=np.intp)
-        noise = []
+        draws = [rng.integers(0, q, size=total, dtype=np.int64)]
+        picks, orders = [], []
         for t in range(trials):
-            template = rng.integers(0, q, size=total, dtype=np.int64)
             if params.distinguished_prefix:
                 # Resample the block-start values until they are pairwise distinct.
+                template = draws[-1][-total:]
                 while len(set(template[starts].tolist())) < len(starts):
                     template[starts] = rng.integers(0, q, size=len(starts), dtype=np.int64)
-            templates[t] = template
             if k:
-                loci[t] = rng.choice(allowed, size=k, replace=False)
-            orders[t] = rng.permutation(n)
-            if k:
-                noise.append(rng.integers(0, q, size=(n, k), dtype=np.int64))
+                picks.append(rng.choice(len(allowed), k, replace=False))
+            orders.append(rng.permutation(n))
+            # This trial's noise, then the next trial's template, in one call.
+            draws.append(rng.integers(0, q, size=n * k + total * (t + 1 < trials),
+                                      dtype=np.int64))
+        if trials == 1:
+            # The draws are used as they are: a joined copy would add 8
+            # bytes per entry to the peak memory of a large corpus.
+            templates, noise = draws[0][None], draws[1].reshape(1, n, k)
+        else:
+            records = np.concatenate(draws).reshape(trials, total + n * k)
+            templates, noise = records[:, :total], records[:, total:].reshape(trials, n, k)
+        del draws  # the int64 noise is freed with its last view, at the word cast below
+        loci = allowed[np.array(picks, dtype=np.intp).reshape(trials, k)]
         loci.sort(axis=1)
-        perm_index = self.pool[orders]
+        perm_index = self.pool[np.array(orders)]
 
         out = np.empty((trials, n, total), dtype=self.dtype)
         out[...] = templates.astype(self.dtype)[:, None]
         values = out.transpose(0, 2, 1)
         if k:
-            # One trial's draw is used as it is: a stacked copy would add 8
-            # bytes per entry to the peak memory of a large corpus.
-            noise = noise[0][None] if trials == 1 else np.stack(noise)
             base = np.take_along_axis(templates, loci, axis=1)[:, None]
             # Both terms are below q, so their sum passes q at most once
             # (``wraps``, found in int64).  Word arithmetic is modulo

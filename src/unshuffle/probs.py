@@ -19,9 +19,10 @@ formulas are exact.  Conserved rows come from the two-block solver's
 Each Monte Carlo run sets the model up once (a ``model.Sampler``) and
 draws its corpora from it trial by trial, making the generator's per-trial
 RNG calls in the contract's order (a model without noise loci makes no
-loci or noise call).  The draws come back as arrays; their assembly and
-the event test are batched, a chunk of about 2**12 symbols at a time, and
-no per-trial ground truth is built.
+loci call, and each trial's noise shares one draw with the next trial's
+template).  The draws come back as arrays; their assembly and the event
+test are batched, a chunk of about 2**14 symbols (``CHUNK_SYMBOLS``) at a
+time, and no per-trial ground truth is built.
 """
 
 from __future__ import annotations
@@ -218,21 +219,28 @@ def _mc_two_value(event, params, trials, rng):
     return _report(event, closed, hits, trials)
 
 
+# Symbols per Monte Carlo chunk: enough trials per batch to spread its fixed
+# cost (81 at the criterion-6 settings), few enough to keep the chunk small.
+CHUNK_SYMBOLS = 2 ** 14
+
+
 def _chunks(sampler, trials, rng):
-    """Generated trials, about 2**12 symbols per chunk, as batches."""
+    """Generated trials, about ``CHUNK_SYMBOLS`` symbols per chunk, as
+    batches; a trial larger than that is a chunk of its own."""
     params = sampler.params
-    step = max(1, 2 ** 12 // (params.blocks.total * params.num_messages))
+    step = max(1, CHUNK_SYMBOLS // (params.blocks.total * params.num_messages))
     for start in range(0, trials, step):
         yield sampler.batch(min(step, trials - start), rng)
 
 
 def _mc_conserved_rows(event, params, trials, rng):
+    # Checked first: with an empty side the closed form's power overflows.
+    if not 0 < params.shuffled_count < params.num_messages:
+        raise ValueError("swapped column set must be nonempty and proper")
     p0, p1 = l_sets_exact_prob(params.q, params.num_messages, params.blocks.total,
                                params.noise_fraction, float(params.shuffle))
     closed = p0 if event == "l0_exact" else p1
     sampler = Sampler(params)
-    if not 0 < params.shuffled_count < params.num_messages:
-        raise ValueError("swapped column set must be nonempty and proper")
     # Per sigma: does it swap the blocks?  Gathered through each column's index.
     swaps = np.array([sigma != identity(2) for sigma in sampler.sigmas])
     hits = 0

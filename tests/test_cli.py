@@ -1,11 +1,18 @@
 """Command-line surface: round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unshuffle.cli import build_parser, cli_main
 from unshuffle.corpus_io import CorpusSpec, load_corpus
+from unshuffle.perms import all_perms
+from unshuffle.probs import CHUNK_SYMBOLS, MC_EVENTS
 
 
 def run(*argv):
@@ -325,3 +332,77 @@ def test_repeated_calls_share_no_state(tmp_path, capsys):
     assert call("unshuffle2", corpus, "--record-len", 100,
                 "--json-report", bare_report)[0] == 0
     assert json.loads(bare_report.read_text()) == bare
+
+
+# One deliberate fault per invocation at most (in about 4 of 10), so that
+# most runs get as far as the Monte Carlo.
+VERIFY_PROB_FAULTS = {
+    "q": st.sampled_from([0, 1]),
+    "lengths": st.sampled_from(["0,3", "4,-1", "x", ""]),
+    "n": st.sampled_from([0, -1]),
+    "lambda": st.sampled_from([-0.1, 1.5]),
+    "nu": st.sampled_from([-0.5, 0.0, 1.0, 2.0]),
+    "perm-counts": st.just("1,2=1;2,1=1"),
+    "trials": st.sampled_from([-5, 0, 99]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), event=st.sampled_from(MC_EVENTS),
+       q=st.sampled_from([2, 3, 5, 16, 256, 2 ** 32 + 1]), m=st.integers(1, 4),
+       wide=st.booleans(), lam=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       nu=st.sampled_from([0.05, 0.3, 0.5, 0.8]),
+       prefix=st.sampled_from([(), ("--restricted-prefix",), ("--distinguished-prefix",)]),
+       fault=st.sampled_from([None] * 10 + sorted(VERIFY_PROB_FAULTS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_prob_argv_exits_cleanly(data, event, q, m, wide, lam, nu, prefix, fault,
+                                        seed):
+    # Any verify-prob invocation exits 0, 1 or 2 without a traceback, and a
+    # report covers the trials asked for.  A wide model has more than
+    # CHUNK_SYMBOLS symbols per trial, so each of its chunks holds one trial.
+    # The two-value events and the conserved rows are two-block events.
+    m = 2 if event != "prefix_partition" else m
+    if wide:
+        lengths = data.draw(st.tuples(*[st.integers(60, 100)] * m))
+        floor = CHUNK_SYMBOLS // (60 * m) + 1
+        n = data.draw(st.integers(floor, floor + 40))
+        trials = data.draw(st.integers(100, 130))
+    else:
+        lengths = data.draw(st.tuples(*[st.integers(1, 8)] * m))
+        n = data.draw(st.integers(2, 30))
+        trials = data.draw(st.integers(100, 1500))
+    flags = {"q": q, "lengths": ",".join(map(str, lengths)), "n": n, "lambda": lam,
+             "nu": nu, "trials": trials}
+    if event == "prefix_partition" and (m != 2 or data.draw(st.booleans())):
+        sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                    max_size=4, unique=True))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
+                                         max_size=len(sigmas) - 1)))
+        flags["perm-counts"] = ";".join(
+            ",".join(str(b + 1) for b in sigma) + f"={hi - lo}"
+            for sigma, lo, hi in zip(sigmas, [0, *cuts], [*cuts, n]))
+    if fault is not None:
+        flags[fault] = data.draw(VERIFY_PROB_FAULTS[fault])
+    with tempfile.TemporaryDirectory() as work:
+        report_path = Path(work) / "report.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("--seed", seed, "verify-prob", event, *prefix,
+                       *[arg for key, value in flags.items() for arg in (f"--{key}", value)],
+                       "--json-report", report_path)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code != 2:
+            report = json.loads(report_path.read_text())
+            assert report["params"]["trials"] == flags["trials"]
+            assert report["success"] == (code == 0)
+
+
+@pytest.mark.parametrize("event", ["l0_exact", "l1_exact"])
+def test_verify_prob_empty_side_is_a_usage_error_at_any_q(event, capsys):
+    # With an empty side the closed form's power overflows for a wide
+    # alphabet; the side check comes first.
+    assert run("--seed", 0, "verify-prob", event, "--q", 2 ** 32 + 1, "--lengths", "60,60",
+               "--n", 137, "--lambda", 0.5, "--nu", 0, "--trials", 100) == 2
+    assert capsys.readouterr().err.strip() == \
+        "verify-prob: swapped column set must be nonempty and proper"

@@ -12,6 +12,7 @@ from unshuffle.model import ModelParams, generate, make_rng
 from unshuffle.partitions import row_stats
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import (
+    CHUNK_SYMBOLS,
     MC_EVENTS,
     _mc_conserved_rows,
     _mc_prefix_partition,
@@ -189,7 +190,7 @@ def test_mc_input_validation():
 
 @pytest.mark.parametrize("event", ["l0_exact", "l1_exact", "prefix_partition"])
 def test_monte_carlo_sets_the_model_up_once_and_builds_no_truths(monkeypatch, event):
-    # 600 trials span many chunks of about 2**12 symbols.
+    # The trials span several chunks of about CHUNK_SYMBOLS symbols.
     from unshuffle import model
     built = []
     set_up = model.Sampler.__init__
@@ -203,7 +204,8 @@ def test_monte_carlo_sets_the_model_up_once_and_builds_no_truths(monkeypatch, ev
                              seed=4)
     else:
         params = params_for(event)
-    assert monte_carlo(event, params, 600).trials == 600
+    trials = chunk_trials(params, 1, chunks=4)
+    assert monte_carlo(event, params, trials).trials == trials
     assert len(built) == 1
 
 
@@ -240,11 +242,11 @@ def prefix_hits_oracle(params, trials, rng):
     return hits
 
 
-def chunk_trials(params, extra):
-    """A trial count past the first chunk boundary of the batched events
-    (chunks of about 2**12 symbols)."""
-    step = max(1, 2 ** 12 // (params.blocks.total * params.num_messages))
-    return step + extra
+def chunk_trials(params, extra, chunks=1):
+    """A trial count ``extra`` trials past the boundary of the batched
+    events' first ``chunks`` chunks (of about CHUNK_SYMBOLS symbols)."""
+    step = max(1, CHUNK_SYMBOLS // (params.blocks.total * params.num_messages))
+    return chunks * step + extra
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,7 +277,7 @@ def test_batched_prefix_partition_matches_per_trial_loop(data, q, m, lam, prefix
     sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
                                 max_size=5, unique=True))
     counts = {s: data.draw(st.integers(2, 8)) for s in sigmas}
-    assume(sum(lengths) * sum(counts.values()) >= 48)  # chunks of at most 85 trials
+    assume(sum(lengths) * sum(counts.values()) >= 48)  # chunks of at most 341 trials
     assume(prefix != "distinguished" or q >= m)
     params = ModelParams(q=q, blocks=BlockStructure(lengths),
                          num_messages=sum(counts.values()), noise_fraction=lam,
