@@ -69,21 +69,27 @@ def _atomic_write(path: Path, data) -> None:
         raise
 
 
-def _records_from_bytes(raw: bytes, spec: CorpusSpec, origin: str) -> np.ndarray:
-    if len(raw) % spec.record_bytes:
-        raise MalformedCorpusError(
-            f"{origin}: {len(raw)} bytes is not a multiple of the "
-            f"{spec.record_bytes}-byte record length")
-    count = len(raw) // spec.record_bytes
-    words = np.frombuffer(raw, dtype=WORD_DTYPES[spec.word_bytes])
-    return words.reshape(count, spec.record_len)
+def _read_records(path: Path, spec: CorpusSpec) -> np.ndarray:
+    """The records of one file as a writable (count, L) array in the word
+    dtype, read straight into it: no intermediate bytes object."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size % spec.record_bytes:
+            raise MalformedCorpusError(
+                f"{path}: {size} bytes is not a multiple of the "
+                f"{spec.record_bytes}-byte record length")
+        records = np.empty((size // spec.record_bytes, spec.record_len),
+                           dtype=WORD_DTYPES[spec.word_bytes])
+        if handle.readinto(records) != size:
+            raise MalformedCorpusError(f"{path}: file shrank while being read")
+    return records
 
 
 def load_corpus(spec: CorpusSpec) -> ShuffledCorpus:
     """Read records as corpus columns, in file order (directories: sorted by
-    filename).  The values are an (L, N) C-contiguous (row-major) array in
-    the file's own word dtype: the solvers work row by row, and the one
-    transposing copy holds L*N*word_bytes bytes, not 8 per symbol."""
+    filename).  The values are the ``.T`` view of the writable (N, L) record
+    array in the file's own word dtype: each column lies contiguous, as in
+    the file, and nothing is transposed on load."""
     src = spec.source
     if src.is_dir():
         files = sorted(p for p in src.iterdir() if p.is_file())
@@ -91,18 +97,17 @@ def load_corpus(spec: CorpusSpec) -> ShuffledCorpus:
             raise EmptyCorpusError(f"no record files in {src}")
         records = []
         for path in files:
-            recs = _records_from_bytes(path.read_bytes(), spec, str(path))
+            recs = _read_records(path, spec)
             if recs.shape[0] != 1:
                 raise MalformedCorpusError(
                     f"{path}: expected exactly one record, found {recs.shape[0]}")
             records.append(recs[0])
-        values = np.stack(records, axis=1)
+        records = np.stack(records)
     else:
-        raw = src.read_bytes()
-        if not raw:
+        records = _read_records(src, spec)
+        if not records.size:
             raise EmptyCorpusError(f"{src} is empty")
-        values = np.ascontiguousarray(_records_from_bytes(raw, spec, str(src)).T)
-    return ShuffledCorpus(values=values, q=spec.q)
+    return ShuffledCorpus(values=records.T, q=spec.q)
 
 
 def write_corpus(corpus: ShuffledCorpus, spec: CorpusSpec) -> None:

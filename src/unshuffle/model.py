@@ -143,10 +143,10 @@ class GroundTruth:
 @dataclass(frozen=True)
 class ShuffledCorpus:
     """L x N matrix over Z/qZ; column n is message n.  ``values`` may have
-    any integer dtype and memory layout: generated corpora are stored column
-    by column in the smallest word dtype that holds q, and loaded corpora
-    are row-major in their file's word dtype (see
-    :func:`unshuffle.corpus_io.load_corpus`)."""
+    any integer dtype and memory layout; generated and loaded corpora are
+    both stored column by column (record-major), generated ones in the
+    smallest word dtype that holds q and loaded ones in their file's word
+    dtype (see :func:`unshuffle.corpus_io.load_corpus`)."""
 
     values: np.ndarray
     q: int
@@ -155,9 +155,11 @@ class ShuffledCorpus:
         a = np.asarray(self.values)
         if a.ndim != 2:
             raise ValueError(f"corpus must be 2-D, got shape {a.shape}")
-        # An unsigned dtype whose largest value is below q cannot be out of range.
-        bounded = a.dtype.kind == "u" and np.iinfo(a.dtype).max < self.q
-        if a.size and not bounded and (a.min() < 0 or a.max() >= self.q):
+        # Unsigned entries cannot be negative, and none can reach q if the
+        # dtype's largest value is below it.
+        unsigned = a.dtype.kind == "u"
+        if a.size and not (unsigned and np.iinfo(a.dtype).max < self.q) and (
+                a.max() >= self.q or (not unsigned and a.min() < 0)):
             raise ValueError("corpus entries outside [0, q)")
         object.__setattr__(self, "values", a)
 

@@ -146,7 +146,8 @@ def _repair_outliers(aligned: np.ndarray):
 def _alphabet(corpus: ShuffledCorpus) -> tuple:
     """The number of distinct symbols, and the largest + 1 (both 0 if empty).
     Symbols below 2**16 are bincounted about 2**18 entries at a time, so no
-    intp copy of the whole corpus is made; wider ones go through np.unique."""
+    intp copy of the whole corpus is made, each block in its memory order;
+    wider ones go through np.unique."""
     values = corpus.values
     span = int(values.max()) + 1 if values.size else 0
     if span > 2 ** 16:
@@ -154,7 +155,7 @@ def _alphabet(corpus: ShuffledCorpus) -> tuple:
     hist = np.zeros(span, dtype=np.intp)
     step = max(1, 2 ** 18 // (values.shape[1] + 1))
     for start in range(0, len(values), step):
-        hist += np.bincount(values[start:start + step].ravel(), minlength=span)
+        hist += np.bincount(values[start:start + step].ravel("K"), minlength=span)
     return int(np.count_nonzero(hist)), span
 
 

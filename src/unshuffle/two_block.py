@@ -55,7 +55,7 @@ def estimate_swapped_columns(corpus: ShuffledCorpus) -> np.ndarray:
     counts = Counter(keys)
     top = max(counts.values())
     winner = next(i for i, key in enumerate(keys) if counts[key] == top)
-    return sides[winner]
+    return sides[winner].copy()  # a view would keep every side mask alive
 
 
 def side_conserved(values: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -104,7 +104,8 @@ def align_cyclic(v0: np.ndarray, d0: np.ndarray,
 def unshuffle2(corpus: ShuffledCorpus) -> TwoUnshuffleResult:
     """Full pipeline: swapped set, conserved rows, cyclic alignment of the
     side templates, and corpus realignment.  The aligned corpus has the
-    input's dtype and is stored record by record, the layout it is written in."""
+    input's dtype and is stored record by record, the layout it is written in
+    and a corpus is loaded and generated in, so its copy is a plain one."""
     values = corpus.values
     swapped = estimate_swapped_columns(corpus)
     conserved = estimate_conserved_rows(corpus, swapped)

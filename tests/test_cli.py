@@ -170,6 +170,11 @@ def test_usage_errors(tmp_path, capsys):
                               "malformed truth sidecar"),
                              (dict(doc, column_perms=[[1, 2], [1.0, 2.0], [2, 1], [2, 1]]),
                               "malformed truth sidecar"),
+                             # a true or 1.0 in a row that repeats an earlier one
+                             (dict(doc, column_perms=[[1, 2], [2, 1], [2, 1], [True, 2]]),
+                              "malformed truth sidecar"),
+                             (dict(doc, column_perms=[[1, 2], [2, 1], [2, 1], [1.0, 2]]),
+                              "malformed truth sidecar"),
                              (dict(doc, column_perms=[12, 21, 12, 21]), "malformed truth sidecar"),
                              (dict(doc, q=16.0), "malformed truth sidecar"),
                              (dict(doc, q="16"), "malformed truth sidecar"),

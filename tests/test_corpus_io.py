@@ -75,6 +75,8 @@ def test_directory_layout_sorted(tmp_path):
 @pytest.mark.parametrize("layout", ["file", "directory"])
 def test_loaded_corpus_is_row_major_in_its_word_dtype(tmp_path, word_bytes, dtype,
                                                       layout):
+    # The (N, L) record matrix ``values.T`` is row-major, as the file stores
+    # it: a load makes no transposing copy, and its result stays writable.
     top = 256 ** word_bytes - 1
     records = np.array([[top, 0, 1, top - 1], [5, top, 7, 0], [0, 0, top, 9]],
                        dtype=f"<u{word_bytes}")
@@ -89,7 +91,7 @@ def test_loaded_corpus_is_row_major_in_its_word_dtype(tmp_path, word_bytes, dtyp
     corpus = load_corpus(CorpusSpec(source=source, record_len=4,
                                     word_bytes=word_bytes))
     assert corpus.values.dtype == dtype
-    assert corpus.values.flags.c_contiguous
+    assert corpus.values.T.flags.c_contiguous and corpus.values.flags.writeable
     assert corpus.values.shape == (4, 3)
     assert np.array_equal(corpus.values, records.T)
 
@@ -180,6 +182,23 @@ def test_truth_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert min(min(p) for p in doc["column_perms"]) == 1
     assert all(l >= 1 for l in doc["noise_loci"])
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_truth_rejects_integer_valued_permutation_entries(tmp_path, entry):
+    # A JSON true or 1.0 equals the integer 1, so it must be caught even in
+    # the last row, where an equal row of integers has been seen before.
+    params = ModelParams(q=5, blocks=BlockStructure((2, 3)), num_messages=6,
+                         noise_fraction=0.4, shuffle=0.5, seed=13)
+    path = tmp_path / "truth.json"
+    write_truth(generate(params)[1], 5, path)
+    doc = json.loads(path.read_text())
+    rows = doc["column_perms"]
+    assert rows.count(rows[-1]) > 1
+    rows[-1] = [entry if value == 1 else value for value in rows[-1]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed truth sidecar"):
+        load_truth(path)
 
 
 def test_report_round_trip(tmp_path):

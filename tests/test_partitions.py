@@ -46,8 +46,8 @@ def test_partition_profile():
 @given(st.sampled_from([np.uint8, np.int64]), st.data())
 def test_distinct_counts_matches_unique(dtype, data):
     # a row's size from ``row_stats`` is its count of distinct values.  A
-    # record-major (F-order) copy, the layout of corpora generated in memory,
-    # gives the same sizes and middles as the row-major one a load gives.
+    # record-major (F-order) copy, the layout of generated and loaded
+    # corpora, gives the same sizes and middles as a row-major one.
     values = data.draw(arrays(dtype, st.tuples(st.integers(1, 8), st.integers(1, 12)),
                               elements=st.integers(0, 5)))
     sizes, middle = row_stats(values)
@@ -70,6 +70,39 @@ def test_two_valued_rows():
                 [1, 2, 1],
                 [1, 2, 3]])
     assert two_valued_rows(c).tolist() == [1]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]), st.booleans(),
+       st.integers(0, 8), st.integers(0, 12), st.data())
+def test_two_valued_rows_match_row_stats(dtype, record_major, n_rows, n_cols, data):
+    # [DERIVED] the two-valued rows are the rows of partition size 2, in
+    # either layout; each row draws from 1 to 4 values of the dtype's range,
+    # so rows of one, two and more values all occur.
+    top = min(int(np.iinfo(dtype).max), 2 ** 40)
+    rows = [data.draw(st.lists(st.sampled_from(palette), min_size=n_cols, max_size=n_cols))
+            for palette in [data.draw(st.lists(st.integers(0, top), min_size=1,
+                                               max_size=4, unique=True))
+                            for _ in range(n_rows)]]
+    values = np.array(rows, dtype=dtype).reshape(n_rows, n_cols)
+    if record_major:
+        values = np.asfortranarray(values)
+    found = two_valued_rows(ShuffledCorpus(values=values, q=top + 1))
+    assert found.dtype == np.intp
+    assert np.array_equal(found, np.flatnonzero(row_stats(values)[0] == 2))
+
+
+def test_two_valued_rows_in_blocks():
+    # 2**18 // 7 = 37449 columns per block, so each row spans two blocks.
+    values = np.random.default_rng(4).integers(0, 2, size=(7, 70000)).astype(np.uint8)
+    values[1] = 5                  # one value
+    values[3, 69999] = 2           # a third value in the last block
+    values[4, 0] = 2               # a third value in the first block
+    values[6, :37449] = 1          # two values, one in each block
+    expected = np.flatnonzero(row_stats(values)[0] == 2)
+    assert expected.tolist() == [0, 2, 5, 6]
+    for layout in (values, np.asfortranarray(values)):
+        assert np.array_equal(two_valued_rows(ShuffledCorpus(values=layout, q=6)), expected)
 
 
 def test_profile_to_csv(tmp_path):

@@ -1,11 +1,14 @@
 """Two-block unshuffling pipeline, from hand-built corpora to the generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import column_sigmas, row_partition
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unshuffle.corpus_io import CorpusSpec, load_corpus, write_corpus
 from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
 from unshuffle.perms import BlockStructure, identity
 from unshuffle.scoring import two_block_recovery
@@ -188,6 +191,24 @@ def test_generated_recovery_with_noise():
     assert result.conserved[1, sorted(shifted)].all()
 
 
+def test_load_and_unshuffle2_peak_memory(tmp_path):
+    # The loaded 4 MB corpus is the file's own records, with no transposing
+    # copy; the aligned copy adds 4 MB and the rotation's blocks about 1.4 MB
+    # (about 9.4 MB in all).  A side mask that kept the vote's (rows, N)
+    # masks alive, or a load that transposed, would pass 10 MB.
+    params = ModelParams(q=3, blocks=BlockStructure((400, 600)), num_messages=4000,
+                         noise_fraction=0.5, shuffle=0.3, seed=1)
+    spec = CorpusSpec(source=tmp_path / "corpus.bin", record_len=1000)
+    write_corpus(generate(params)[0], spec)
+    tracemalloc.start()
+    try:
+        unshuffle2(load_corpus(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.6e6
+
+
 def test_gauge_swap_when_column_zero_is_swapped():
     # construct a corpus whose column 0 belongs to the shuffled side: the
     # solver reports the complementary set and the complementary shift.
@@ -360,8 +381,8 @@ def test_swapped_vote_tie_break_matches_oracle(corpus):
 @settings(deadline=None)
 @given(corpus_values)
 def test_realignment_matches_per_column_permutations(values):
-    # Loaded corpora are row-major, corpora generated in memory record-major
-    # (F-order); both realign to the same bytes, stored record by record.
+    # Loaded and generated corpora are record-major (F-order), a row-major
+    # corpus realigns to the same bytes; both are stored record by record.
     corpus = ShuffledCorpus(values=np.ascontiguousarray(values), q=3)
     try:
         result = unshuffle2(corpus)
@@ -372,7 +393,7 @@ def test_realignment_matches_per_column_permutations(values):
                 for n, col in enumerate(corpus.values.T)]
     assert result.aligned.q == corpus.q
     assert np.array_equal(result.aligned.values, np.column_stack(expected))
-    in_memory = unshuffle2(ShuffledCorpus(values=np.asfortranarray(values), q=3))
-    loaded, generated = result.aligned.values.T, in_memory.aligned.values.T
-    assert loaded.flags.c_contiguous and generated.flags.c_contiguous
-    assert generated.tobytes() == loaded.tobytes()
+    by_records = unshuffle2(ShuffledCorpus(values=np.asfortranarray(values), q=3))
+    by_rows, by_records = result.aligned.values.T, by_records.aligned.values.T
+    assert by_rows.flags.c_contiguous and by_records.flags.c_contiguous
+    assert by_records.tobytes() == by_rows.tobytes()

@@ -1,7 +1,8 @@
 """Dtype and layout invariance: a corpus stored as int64 column by column
-and the same corpus stored row-major in a 1-, 2- or 4-byte word dtype (as
-loaded) give identical results from every row kernel and both solvers.  Symbols are spread over the narrow dtype's whole range, so
-wrapped arithmetic in the narrow type would show."""
+and the same corpus stored row-major in a 1-, 2- or 4-byte word dtype give
+identical results from every row kernel and both solvers.  Symbols are
+spread over the narrow dtype's whole range, so wrapped arithmetic in the
+narrow type would show."""
 
 import numpy as np
 import pytest
