@@ -13,12 +13,14 @@ bit-identical output.  A zero-size draw consumes no randomness, so a model
 without noise loci draws neither loci nor noise values.  A batch of
 corpora draws trial after trial in exactly that order; the per-parameter
 set-up (:class:`Sampler`) is built once, and the assembly of the drawn
-values into columns is batched across trials.  Since a trial's noise and
-the next trial's template are both bounded int64 draws and numpy's bounded
-draws join end to end, the batch takes them in one call: the grouping of
-the calls changes, the stream does not.  Generated corpora come in the
-smallest word dtype that holds q (``uint8``, ``uint16`` or ``uint32``;
-int64 beyond 2**32 symbols), with each record contiguous.
+values into columns runs one cache-sized block of records at a time.
+Since a trial's noise and the next trial's template are both bounded int64
+draws and numpy's bounded draws join end to end, the batch takes them in
+one call, and draws the last trial's noise (the end of the stream) block
+by block as it assembles: the grouping of the calls changes, the stream
+does not.  Generated corpora come in the smallest word dtype that holds q
+(``uint8``, ``uint16`` or ``uint32``; int64 beyond 2**32 symbols), with
+each record contiguous.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def make_rng(seed) -> np.random.Generator:
 
 
 TWO_BLOCK_SWAP: Perm = (1, 0)
+
+# Entries per block of generated records: the budget the package's other
+# kernels work in, so a block's template fill, noise and gather stay in cache.
+BLOCK_ENTRIES = 2 ** 18
 
 
 def realized_count(fraction: float, size: int) -> int:
@@ -216,22 +222,27 @@ class Sampler:
         (``choice``), the column order (``permutation``), then the (N, k)
         noise values.  The noise values and the next trial's template come
         from one ``integers`` call, the same draws as two calls: the
-        resampling reads its template from the tail of that draw, and the
-        last trial's call draws its noise alone.  A zero-size draw consumes
-        no randomness, so with no noise loci the loci call is skipped and
-        the last call draws nothing.  The loci are drawn as indices into
+        resampling reads its template from the tail of that draw.  The
+        last trial's noise is drawn last of all, one block of records at a
+        time during the assembly; since bounded int64 draws join end to end
+        and nothing follows it, the stream is unchanged.  A zero-size draw
+        consumes no randomness, so with no noise loci the loci call is
+        skipped and no noise is drawn.  The loci are drawn as indices into
         the allowed positions (``choice`` of an array draws the same
         indices) and mapped through them once, after the loop.
 
-        The rest is whole-array work over the batch, in the word dtype.
-        Laid end to end, the draws are the trials' (template | noise)
-        records; a one-trial batch (every :func:`generate` call) uses its
-        two draws as they are, without the joined copy.  The loci are
-        sorted, the column order is mapped through the pool, every column
-        starts as its trial's template, the noise mod q goes in at the
-        trial's loci, and the columns of each moved sigma are gathered
-        through its table row.  Records lie contiguous: ``values[t]`` is an
-        (L, N) view of an (N, L) array."""
+        The assembly runs in the word dtype, one block of about
+        ``BLOCK_ENTRIES`` entries at a time: a block is a run of one
+        trial's records or, where a trial fits, a run of whole trials, so
+        a Monte Carlo chunk is one block.  Each block is filled with its
+        trials' templates, and the noise mod q goes in at the trial's loci
+        while the block is in cache, with the wrap test on words.  So a
+        one-trial batch (every :func:`generate` call) never holds more than
+        a block of int64 noise; a larger batch holds its earlier trials'
+        noise, drawn with the next templates, until their blocks.  The
+        columns of each moved sigma are then gathered through its table
+        row, a block's worth of records at a time.  Records lie contiguous:
+        ``values[t]`` is an (L, N) view of an (N, L) array."""
         params = self.params
         q, n, total, k = params.q, params.num_messages, params.blocks.total, params.noise_count
         starts, allowed = self.starts, self.allowed
@@ -246,41 +257,58 @@ class Sampler:
             if k:
                 picks.append(rng.choice(len(allowed), k, replace=False))
             orders.append(rng.permutation(n))
-            # This trial's noise, then the next trial's template, in one call.
-            draws.append(rng.integers(0, q, size=n * k + total * (t + 1 < trials),
-                                      dtype=np.int64))
-        if trials == 1:
-            # The draws are used as they are: a joined copy would add 8
-            # bytes per entry to the peak memory of a large corpus.
-            templates, noise = draws[0][None], draws[1].reshape(1, n, k)
-        else:
-            records = np.concatenate(draws).reshape(trials, total + n * k)
-            templates, noise = records[:, :total], records[:, total:].reshape(trials, n, k)
-        del draws  # the int64 noise is freed with its last view, at the word cast below
+            if t + 1 < trials:
+                # This trial's noise, then the next trial's template, in one call.
+                draws.append(rng.integers(0, q, size=n * k + total, dtype=np.int64))
+        # Laid end to end, the draws are the earlier trials' (template |
+        # noise) records, then the last trial's template.
+        joined = np.concatenate(draws)
+        head = joined[:-total].reshape(trials - 1, total + n * k)
+        templates = np.concatenate([head[:, :total], joined[None, -total:]])
+        stored = head[:, total:].reshape(trials - 1, n, k)
         loci = allowed[np.array(picks, dtype=np.intp).reshape(trials, k)]
         loci.sort(axis=1)
         perm_index = self.pool[np.array(orders)]
+        base = np.take_along_axis(templates, loci, axis=1)
+        # Both terms are below q, so their sum passes q at most once: where
+        # the noise exceeds q - 1 - base, which fits the word.  Word
+        # arithmetic is modulo 2**bits, so the sum less q lands in [0, q)
+        # even where the sum overflows the word.
+        room = (q - 1 - base).astype(self.dtype)[:, None]
+        base = base.astype(self.dtype)[:, None]
+        words = templates.astype(self.dtype)[:, None]
 
         out = np.empty((trials, n, total), dtype=self.dtype)
-        out[...] = templates.astype(self.dtype)[:, None]
-        values = out.transpose(0, 2, 1)
-        if k:
-            base = np.take_along_axis(templates, loci, axis=1)[:, None]
-            # Both terms are below q, so their sum passes q at most once
-            # (``wraps``, found in int64).  Word arithmetic is modulo
-            # 2**bits, so the sum less q lands in [0, q) even where the sum
-            # overflows the word.
-            wraps = noise >= q - base
-            noise = noise.astype(self.dtype)
-            noise += base.astype(self.dtype)
-            noise -= wraps * self.q_word
-            values[np.arange(trials)[:, None], loci] = noise.transpose(0, 2, 1)
+        span = max(1, BLOCK_ENTRIES // total)  # records per block
+        group = max(1, span // n)  # whole trials per block, if a trial fits in one
+        for t0 in range(0, trials, group):
+            t1 = min(t0 + group, trials)
+            for a in range(0, n, span):
+                b = min(a + span, n)
+                block = out[t0:t1, a:b]
+                block[...] = words[t0:t1]
+                if not k:
+                    continue
+                noise = np.empty((t1 - t0, b - a, k), dtype=self.dtype)
+                earlier = stored[t0:t1, a:b]
+                noise[:len(earlier)] = earlier
+                if t1 == trials:
+                    # Nothing follows the last trial's noise in the stream,
+                    # so it is drawn here, a block at a time.
+                    noise[-1] = rng.integers(0, q, size=(b - a, k), dtype=np.int64)
+                wraps = noise > room[t0:t1]
+                noise += base[t0:t1]
+                noise -= wraps * self.q_word
+                block.transpose(0, 2, 1)[np.arange(t1 - t0)[:, None], loci[t0:t1]] = \
+                    noise.transpose(0, 2, 1)
         flat, bounds = out.reshape(trials * n, total), trials * self.pool_bounds
         by_sigma = np.argsort(perm_index, axis=None, kind="stable")
         for i in self.moved:
             cols = by_sigma[bounds[i]:bounds[i + 1]]
-            flat[cols] = flat.take(cols, axis=0).take(self.table[i], axis=1)
-        return Batch(values=values, templates=templates, loci=loci, perm_index=perm_index,
+            for c in range(0, len(cols), span):
+                part = cols[c:c + span]
+                flat[part] = flat.take(part, axis=0).take(self.table[i], axis=1)
+        return Batch(values=out.transpose(0, 2, 1), templates=templates, loci=loci, perm_index=perm_index,
                      sigmas=self.sigmas, blocks=params.blocks)
 
 

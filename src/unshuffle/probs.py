@@ -23,6 +23,17 @@ loci call, and each trial's noise shares one draw with the next trial's
 template).  The draws come back as arrays; their assembly and the event
 test are batched, a chunk of about 2**14 symbols (``CHUNK_SYMBOLS``) at a
 time, and no per-trial ground truth is built.
+
+An estimate agrees with its closed form unless the exact binomial tail
+beyond it, on its side of the mean, holds less than half of a two-sided
+level of 0.0027 (``AGREEMENT_LEVEL``, that of 3 normal standard errors).
+The test is discrete, so a correct model fails it at most that often and
+less often near 0 or 1.  At the settings of the ``verify_prob`` benchmark
+workload (1000 trials each) the false-alarm rates are 4.9e-6 for
+``l0_exact`` (closed form 0.9999969, where a single miss agrees), 0.0015
+for ``l1_exact`` (0.9796) and 0.0023 for ``prefix_partition`` (0.6665), so
+one pool of 14 jobs of these three checks fails on a correct model about
+5.2% of the time.
 """
 
 from __future__ import annotations
@@ -174,15 +185,43 @@ class ProbReport:
     agrees: bool
 
 
+# Two-sided level of the agreement test: that of 3 normal standard errors.
+AGREEMENT_LEVEL = 0.0027
+
+
+def _far_out(hits: int, trials: int, p: float) -> bool:
+    """Whether ``hits`` of ``trials`` lies so far out that the binomial tail
+    beyond it, on its side of the mean ``trials * p``, holds less than half
+    of ``AGREEMENT_LEVEL``.  The tail's terms are summed from ``hits``
+    outward, each from the last, until the sum passes that half or a term
+    reaches 0 (past the last count, or below the smallest float)."""
+    if p <= 0.0 or p >= 1.0:
+        return hits != trials * p  # an impossible or a certain event
+    upper = hits > trials * p
+    odds = p / (1.0 - p) if upper else (1.0 - p) / p
+    term = math.exp(math.lgamma(trials + 1) - math.lgamma(hits + 1)
+                    - math.lgamma(trials - hits + 1)
+                    + hits * math.log(p) + (trials - hits) * math.log1p(-p))
+    tail, j = 0.0, hits
+    while term > 0.0:
+        tail += term
+        if tail >= AGREEMENT_LEVEL / 2:
+            return False
+        term *= ((trials - j) / (j + 1) if upper else j / (trials - j + 1)) * odds
+        j += 1 if upper else -1
+    return True
+
+
 def _report(event: str, closed: float, hits: int, trials: int) -> ProbReport:
     est = hits / trials
-    # Binomial standard error under the closed form (the null hypothesis);
-    # the empirical rate can degenerate to exactly 0 or 1.
+    # The reported standard error is the binomial one under the closed form
+    # (the null hypothesis); the verdict takes the exact binomial tails, so
+    # a near-certain event is not failed on a single miss.
     p = min(max(closed, 0.0), 1.0)
     stderr = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
     return ProbReport(event=event, closed_form=closed, mc_estimate=est,
                       mc_stderr=stderr, trials=trials,
-                      agrees=abs(closed - est) <= 3.0 * stderr)
+                      agrees=not _far_out(hits, trials, p))
 
 
 def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):

@@ -6,12 +6,20 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.cli import build_parser, cli_main
-from unshuffle.corpus_io import CorpusSpec, load_corpus
-from unshuffle.perms import all_perms
+from unshuffle.corpus_io import (
+    WORD_DTYPES,
+    CorpusSpec,
+    load_corpus,
+    load_truth,
+    word_bytes_for,
+)
+from unshuffle.model import BLOCK_ENTRIES, ModelParams, generate
+from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import CHUNK_SYMBOLS, MC_EVENTS
 
 
@@ -401,6 +409,89 @@ def test_verify_prob_argv_exits_cleanly(data, event, q, m, wide, lam, nu, prefix
             report = json.loads(report_path.read_text())
             assert report["params"]["trials"] == flags["trials"]
             assert report["success"] == (code == 0)
+
+
+# As for verify-prob: one deliberate fault per invocation at most.
+GEN_FAULTS = {
+    "q": st.sampled_from([0, 1]),
+    "lengths": st.sampled_from(["0,3", "4,-1", "x", ""]),
+    "n": st.sampled_from([0, -1]),
+    "lambda": st.sampled_from([-0.1, 1.5]),
+    "nu": st.sampled_from([-0.5, 2.0]),
+    "perm-counts": st.sampled_from(["1,1=2", "1,2=-1", "1,2=x", "="]),
+    "word-bytes": st.sampled_from([3, 8]),
+    "out": st.none(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 5, 256, 257, 2 ** 16, 2 ** 16 + 1,
+                                          2 ** 32, 2 ** 32 + 1]),
+       m=st.integers(1, 4), wide=st.booleans(), lam=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       nu=st.sampled_from([0.0, 0.3, 0.5, 1.0]), counts=st.booleans(),
+       prefix=st.sampled_from(["", "restricted", "distinguished"]),
+       word_bytes=st.sampled_from([None, 0, 1, 2, 4]),
+       fault=st.sampled_from([None] * 10 + sorted(GEN_FAULTS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gen_argv_exits_cleanly_and_round_trips(data, q, m, wide, lam, nu, counts, prefix,
+                                                word_bytes, fault, seed):
+    # Any gen invocation exits 0 or 2 without a traceback, and what an exit
+    # 0 writes loads back as exactly what generate returns in memory (a
+    # --nu fault passes where --perm-counts overrides it).  Wide records
+    # make more than one block of BLOCK_ENTRIES entries per corpus.
+    m = 2 if not counts else m
+    if wide:
+        lengths = data.draw(st.tuples(*[st.integers(250, 1000)] * m))
+        floor = BLOCK_ENTRIES // sum(lengths) + 1
+        n = data.draw(st.integers(floor, floor + 60))
+    else:
+        lengths = data.draw(st.tuples(*[st.integers(1, 8)] * m))
+        n = data.draw(st.integers(1, 30))
+    flags = {"q": q, "lengths": ",".join(map(str, lengths)), "n": n, "lambda": lam}
+    if counts:
+        sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                    max_size=4, unique=True))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
+                                         max_size=len(sigmas) - 1)))
+        shuffle = {sigma: hi - lo for sigma, lo, hi in zip(sigmas, [0, *cuts], [*cuts, n])}
+        flags["perm-counts"] = ";".join(",".join(str(b + 1) for b in sigma) + f"={count}"
+                                        for sigma, count in shuffle.items())
+    else:
+        shuffle = nu
+        flags["nu"] = nu
+    if word_bytes is not None:
+        flags["word-bytes"] = word_bytes
+    if fault is not None:
+        flags[fault] = data.draw(GEN_FAULTS[fault])
+    with tempfile.TemporaryDirectory() as work:
+        flags.setdefault("out", Path(work) / "corpus.bin")
+        argv = [arg for key, value in flags.items() if value is not None
+                for arg in (f"--{key}", value)]
+        if prefix:
+            argv.append(f"--{prefix}-prefix")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("--seed", seed, "gen", *argv)
+        assert code in (0, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code != 0:
+            return
+        corpus, truth = generate(ModelParams(
+            q=q, blocks=BlockStructure(lengths), num_messages=n, noise_fraction=lam,
+            shuffle=shuffle, restricted_prefix=prefix == "restricted",
+            distinguished_prefix=prefix == "distinguished", seed=seed))
+        size = word_bytes or word_bytes_for(q)
+        loaded = load_corpus(CorpusSpec(source=flags["out"], record_len=sum(lengths),
+                                         word_bytes=size))
+        assert loaded.values.dtype == WORD_DTYPES[size]
+        assert np.array_equal(loaded.values, corpus.values)
+        loaded_truth, loaded_q = load_truth(str(flags["out"]) + ".truth.json")
+        assert loaded_q == q
+        assert np.array_equal(loaded_truth.template, truth.template)
+        assert np.array_equal(loaded_truth.noise_loci, truth.noise_loci)
+        assert loaded_truth.sigmas == truth.sigmas
+        assert np.array_equal(loaded_truth.perm_index, truth.perm_index)
+        assert loaded_truth.blocks == truth.blocks
 
 
 @pytest.mark.parametrize("event", ["l0_exact", "l1_exact"])

@@ -200,19 +200,24 @@ def test_generated_corpus_is_in_the_smallest_word_dtype(q, word):
 
 
 def test_generate_peak_memory():
-    # The (N, k) int64 noise draw is 16 MB of it, fixed by the RNG contract;
-    # the 4 MB corpus is assembled around it in 1-byte words.  The draw is
-    # freed at its cast to words (about 24.9 MB in all); held to the end of
-    # the assembly, it would raise the peak to about 27.3 MB.
-    params = ModelParams(q=3, blocks=BlockStructure((400, 600)), num_messages=4000,
-                         noise_fraction=0.5, shuffle=0.3, seed=1)
-    tracemalloc.start()
-    try:
-        generate(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 26e6
+    # The bench's two-block corpus (q=3, L=1000, N=4000) at λ=0.5 and at
+    # λ=0.3.  The corpus is 4 MB of 1-byte words; it is assembled one block
+    # of about 2**18 entries at a time, and the last trial's (N, k) int64
+    # noise (16 MB at λ=0.5) is drawn a block at a time, so only a block's
+    # draw (about 1 MB) is live next to it: about 5.5 MB in all, where a
+    # whole-corpus noise draw would raise the peak to about 24 MB.  A small
+    # corpus first: the imports of a first call are not the generator's.
+    generate(two_block_params())
+    for noise_fraction in (0.5, 0.3):
+        params = ModelParams(q=3, blocks=BlockStructure((400, 600)), num_messages=4000,
+                             noise_fraction=noise_fraction, shuffle=0.3, seed=1)
+        tracemalloc.start()
+        try:
+            generate(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, noise_fraction
 
 
 def test_noise_values_roughly_uniform():
@@ -313,20 +318,71 @@ def test_batch_equals_successive_generate_calls(data, q, m, n, lam, prefix, frac
     assert tail.integers(0, 2 ** 62, size=4).tolist() == rng.integers(0, 2 ** 62, size=4).tolist()
 
 
+def naive_batch(params, trials, rng):
+    """Oracle for ``Sampler.batch``: replay the contract's draws trial by
+    trial (template, ``choice``, ``permutation``, the (N, k) noise) from
+    ``rng`` and build each column alone: the template, plus the noise mod q
+    at the sorted loci, gathered through its sigma's table row."""
+    q, n, total, k = params.q, params.num_messages, params.blocks.total, params.noise_count
+    counts = sorted(params.perm_counts().items())
+    pool = [i for i, (_, count) in enumerate(counts) for _ in range(count)]
+    table = coherent_block_table(tuple(sigma for sigma, _ in counts), params.blocks)
+    corpora = []
+    for _ in range(trials):
+        template = rng.integers(0, q, size=total, dtype=np.int64)
+        loci = np.sort(rng.choice(total, k, replace=False)) if k else np.zeros(0, int)
+        order = rng.permutation(n)
+        noise = rng.integers(0, q, size=(n, k), dtype=np.int64)
+        corpus = np.empty((total, n), dtype=np.int64)
+        for col in range(n):
+            record = template.copy()
+            record[loci] = (record[loci] + noise[col]) % q
+            corpus[:, col] = record[table[pool[order[col]]]]
+        corpora.append(corpus)
+    return corpora
+
+
+@pytest.mark.parametrize("q, word", [(3, np.uint8), (256, np.uint8), (300, np.uint16),
+                                     (2 ** 32, np.uint32), (2 ** 32 + 3, np.int64)])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("noise_fraction", [0.0, 0.3])
+def test_block_assembly_against_naive_columns(q, word, trials, noise_fraction):
+    # [DERIVED] records of 2000 words make a block of 131 records, so each
+    # 300-record trial ends on a partial block; the last trial's noise is
+    # drawn a block at a time, and the stream must still end where the
+    # contract's calls end it.
+    blocks = BlockStructure((700, 500, 800))
+    params = ModelParams(q=q, blocks=blocks, num_messages=300,
+                         noise_fraction=noise_fraction,
+                         shuffle={(0, 1, 2): 100, (2, 0, 1): 120, (1, 2, 0): 80})
+    rng, replay = make_rng(q + trials), make_rng(q + trials)
+    batch = Sampler(params).batch(trials, rng)
+    expected = naive_batch(params, trials, replay)
+    assert batch.values.dtype == word
+    for t in range(trials):
+        assert batch.values[t].T.tobytes() == expected[t].T.astype(word).tobytes()
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 @pytest.mark.parametrize("q", [2, 3, 256, 2 ** 16 + 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40])
 @pytest.mark.parametrize("a, b", [(1, 1), (3, 6), (7, 0), (0, 5), (10, 33)])
 def test_bounded_int64_draws_join_end_to_end(q, a, b):
     # Sampler.batch draws a trial's noise and the next trial's template in
-    # one call; that keeps the stream only because numpy's bounded int64
-    # draws join end to end, on the 32-bit paths (q <= 2**32, which buffer
-    # half-words in the bit generator) and on the 64-bit Lemire path.
-    joined, split = make_rng(q + a), make_rng(q + a)
-    for rng in (joined, split):
-        rng.integers(0, 5, size=1, dtype=np.int64)  # leave a half-word buffered
-    whole = joined.integers(0, q, size=a + b, dtype=np.int64)
-    parts = [split.integers(0, q, size=size, dtype=np.int64) for size in (a, b)]
-    assert whole.tolist() == np.concatenate(parts).tolist()
-    assert joined.bit_generator.state == split.bit_generator.state
+    # one call, and the last trial's noise a block at a time; that keeps the
+    # stream only because numpy's bounded int64 draws join end to end, on
+    # the 32-bit paths (q <= 2**32, which buffer half-words in the bit
+    # generator) and on the 64-bit Lemire path.  Split into two parts, and
+    # into many, zero-size parts among them.
+    splits = [(a, b), (0, a, 0, 0, b, 0), (1,) * (a + b),
+              (2, 0, 3, 1, 0) * (a + b) + (a + b,)]
+    for sizes in splits:
+        joined, split = make_rng(q + a), make_rng(q + a)
+        for rng in (joined, split):
+            rng.integers(0, 5, size=1, dtype=np.int64)  # leave a half-word buffered
+        whole = joined.integers(0, q, size=sum(sizes), dtype=np.int64)
+        parts = [split.integers(0, q, size=size, dtype=np.int64) for size in sizes]
+        assert whole.tolist() == np.concatenate(parts).tolist()
+        assert joined.bit_generator.state == split.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(5))

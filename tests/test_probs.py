@@ -16,6 +16,7 @@ from unshuffle.probs import (
     MC_EVENTS,
     _mc_conserved_rows,
     _mc_prefix_partition,
+    _report,
     gap_decay,
     l_sets_exact_prob,
     monte_carlo,
@@ -169,6 +170,36 @@ def test_mc_prefix_partition_agrees():
     assert report.agrees
     # With no noise loci the exact form is the birthday product, bit for bit.
     assert report.closed_form == prefix_partition_prob(16, 4)[0]
+
+
+def test_agreement_takes_exact_binomial_tails():
+    # [DERIVED] At the verify_prob bench settings (1000 trials) one miss of
+    # l0_exact (closed form 0.9999969) has probability 0.31%, above half of
+    # the two-sided level 0.0027, so it agrees; 3 normal standard errors
+    # (5.6e-5 each) failed it.  712 hits of prefix_partition against 0.6665
+    # (3.05 errors) have an upper tail of 0.11% and still fail.
+    p0, _ = l_sets_exact_prob(3, 20, 10, 0.5, 0.3)
+    assert _report("l0_exact", p0, 999, 1000).agrees
+    assert not _report("l0_exact", p0, 998, 1000).agrees
+    closed, _ = prefix_partition_prob(16, 4)
+    assert not _report("prefix_partition", closed, 712, 1000).agrees
+    assert _report("prefix_partition", closed, 711, 1000).agrees
+    # A certain event fails on any miss, an impossible one on any hit.
+    assert _report("prefix_partition", 1.0, 1000, 1000).agrees
+    assert not _report("prefix_partition", 1.0, 999, 1000).agrees
+    assert _report("p_n", 0.0, 0, 100).agrees
+    assert not _report("p_n", 0.0, 1, 100).agrees
+
+
+@pytest.mark.parametrize("p", [0.03, 0.5, 0.6665, 0.97, 0.9999969])
+def test_agreement_matches_the_tail_sums(p):
+    # Oracle: each tail summed term by term from math.comb; a count agrees
+    # unless the tail beyond it on its side of the mean is below 0.00135.
+    trials = 200
+    pmf = [math.comb(trials, j) * p ** j * (1 - p) ** (trials - j) for j in range(trials + 1)]
+    for hits in range(trials + 1):
+        tail = sum(pmf[hits:]) if hits > trials * p else sum(pmf[:hits + 1])
+        assert _report("p_n", p, hits, trials).agrees == (tail >= 0.0027 / 2), hits
 
 
 def test_mc_determinism_and_serialization():
