@@ -21,7 +21,6 @@ from .model import (
     make_rng,
 )
 from .partitions import (
-    PartitionProfile,
     partition_profile,
     two_valued_rows,
 )

@@ -30,9 +30,12 @@ from .corpus_io import (
     write_truth,
 )
 from .model import (
+    HEADLINE_LENGTHS,
     InfeasibleParamsError,
     ModelParams,
+    ShuffledCorpus,
     generate,
+    headline_counts,
     make_rng,
 )
 from .multi_block import unshuffle_m
@@ -143,10 +146,12 @@ def _cmd_gen(args) -> int:
         print("gen: --out is required", file=sys.stderr)
         return EXIT_USAGE
     params = _model_params(args)
-    corpus, truth = generate(params)
     word_bytes = args.word_bytes or word_bytes_for(params.q)
-    spec = CorpusSpec(source=args.out, record_len=corpus.n_rows,
+    spec = CorpusSpec(source=args.out, record_len=params.blocks.total,
                       word_bytes=word_bytes)
+    if params.q > spec.q:  # before drawing a corpus that cannot be written
+        raise ValueError(f"alphabet {params.q} does not fit {word_bytes}-byte words")
+    corpus, truth = generate(params)
     write_corpus(corpus, spec)
     truth_path = Path(str(args.out) + ".truth.json")
     write_truth(truth, params.q, truth_path)
@@ -166,17 +171,16 @@ def _cmd_analyze(args) -> int:
     spec = CorpusSpec(source=args.corpus, record_len=args.record_len,
                       word_bytes=args.word_bytes)
     corpus = load_corpus(spec)
-    profile = partition_profile(corpus)
-    two_valued = np.flatnonzero(np.array(profile.sizes) == 2)
+    sizes = partition_profile(corpus)
     if args.out is not None:
-        profile_to_csv(profile, args.out)
+        profile_to_csv(sizes, args.out)
     report = Report(
         command="analyze",
         params={"corpus": str(args.corpus), "record_len": args.record_len},
         result={"rows": corpus.n_rows, "cols": corpus.n_cols,
-                "max_partition_size": profile.max_size,
-                "two_valued_rows": (two_valued + 1).tolist()},
-        diagnostics={"partition_sizes": list(profile.sizes)},
+                "max_partition_size": int(sizes.max()),
+                "two_valued_rows": (np.flatnonzero(sizes == 2) + 1).tolist()},
+        diagnostics={"partition_sizes": sizes.tolist()},
         seed=args.seed,
     )
     return _emit(report, args)
@@ -306,34 +310,24 @@ def _selftest_two_block(seeds: int) -> tuple:
 
 
 def _selftest_partition_maxima() -> bool:
-    from .model import ShuffledCorpus
-
     def all_perm_corpus(lengths, q):
         blocks = BlockStructure(lengths)
         template = np.arange(blocks.total, dtype=np.int64) % q
         table = coherent_block_table(list(all_perms(blocks.block_count)), blocks)
         return ShuffledCorpus(values=template[table].T, q=q)
 
-    small = partition_profile(all_perm_corpus((3, 5, 6, 7), 21)).max_size
-    large = partition_profile(all_perm_corpus((6, 9, 11, 12, 13), 51)).max_size
+    small = int(partition_profile(all_perm_corpus((3, 5, 6, 7), 21)).max())
+    large = int(partition_profile(all_perm_corpus((6, 9, 11, 12, 13), 51)).max())
     return small == 12 and large == 30
 
 
 def _selftest_m_block(seeds: int) -> tuple:
-    blocks = BlockStructure((11, 11, 12, 12, 16, 20))
+    blocks = BlockStructure(HEADLINE_LENGTHS)
     hits = 0
     for seed in range(seeds):
-        rng = make_rng(10_000 + seed)
-        pool, seen = [], set()
-        while len(pool) < 31:
-            sigma = tuple(int(a) for a in rng.permutation(6))
-            if sigma not in seen:
-                seen.add(sigma)
-                pool.append(sigma)
-        mult = [16, 8, 8, 4, 4, 4, 4] + [2] * 8 + [1] * 16
         params = ModelParams(q=256, blocks=blocks, num_messages=80,
                              noise_fraction=0.5,
-                             shuffle=dict(zip(pool, mult)),
+                             shuffle=headline_counts(make_rng(10_000 + seed)),
                              restricted_prefix=True, seed=seed)
         corpus, truth = generate(params)
         hits += m_block_recovery(unshuffle_m(corpus), truth)

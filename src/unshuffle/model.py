@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .perms import BlockStructure, Perm, check_perm, coherent_block_table, identity
+from .perms import BlockStructure, Perm, check_perm, coherent_block_table, identity, random_perm
 
 
 class InfeasibleParamsError(ValueError):
@@ -45,6 +45,12 @@ def make_rng(seed) -> np.random.Generator:
 
 TWO_BLOCK_SWAP: Perm = (1, 0)
 
+# The source paper's headline experiment (with a restricted prefix, L=82):
+# six blocks, and 31 distinct block permutations with these column
+# multiplicities (N=80).
+HEADLINE_LENGTHS = (11, 11, 12, 12, 16, 20)
+HEADLINE_MULT = (16, 8, 8, 4, 4, 4, 4) + (2,) * 8 + (1,) * 16
+
 # Entries per block of generated records: the budget the package's other
 # kernels work in, so a block's template fill, noise and gather stay in cache.
 BLOCK_ENTRIES = 2 ** 18
@@ -53,6 +59,16 @@ BLOCK_ENTRIES = 2 ** 18
 def realized_count(fraction: float, size: int) -> int:
     """The exact count a fraction of ``size`` is realized as: ceil, as drawn."""
     return math.ceil(fraction * size)
+
+
+def headline_counts(rng: np.random.Generator, factor: int = 1) -> dict:
+    """The headline pool: the first 31 distinct permutations of the six
+    blocks that :func:`random_perm` draws from ``rng``, in draw order, each
+    mapped to its multiplicity times ``factor``."""
+    pool = {}
+    while len(pool) < len(HEADLINE_MULT):
+        pool.setdefault(random_perm(len(HEADLINE_LENGTHS), rng))
+    return {sigma: m * factor for sigma, m in zip(pool, HEADLINE_MULT)}
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,10 @@ one small copy per block.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ShuffledCorpus
-
-
-@dataclass(frozen=True)
-class PartitionProfile:
-    sizes: tuple  # partition size per row, length L
-
-    @property
-    def max_size(self) -> int:
-        return max(self.sizes)
 
 
 def row_stats(values: np.ndarray) -> tuple:
@@ -62,9 +52,9 @@ def row_stats(values: np.ndarray) -> tuple:
     return sizes, middle
 
 
-def partition_profile(corpus: ShuffledCorpus) -> PartitionProfile:
-    """Partition size of every row; vectorized (no part structure kept)."""
-    return PartitionProfile(sizes=tuple(row_stats(corpus.values)[0].tolist()))
+def partition_profile(corpus: ShuffledCorpus) -> np.ndarray:
+    """Partition size of every row, an (L,) intp array; no part structure kept."""
+    return row_stats(corpus.values)[0]
 
 
 def two_valued_rows(corpus: ShuffledCorpus) -> np.ndarray:
@@ -88,11 +78,11 @@ def two_valued_rows(corpus: ShuffledCorpus) -> np.ndarray:
     return np.flatnonzero(two)
 
 
-def profile_to_csv(profile: PartitionProfile, path) -> None:
-    """Write (row index, partition size) pairs; row indices are 1-based to
-    match printed output."""
+def profile_to_csv(sizes: np.ndarray, path) -> None:
+    """Write (row index, partition size) pairs of ``partition_profile``'s
+    sizes; row indices are 1-based to match printed output."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "partition_size"])
-        for i, s in enumerate(profile.sizes, start=1):
+        for i, s in enumerate(sizes.tolist(), start=1):
             writer.writerow([i, s])

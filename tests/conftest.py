@@ -1,9 +1,15 @@
 """Shared pytest plumbing: collects acceptance verdict lines and prints them
 after the run, outside of output capture."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
+from unshuffle.model import HEADLINE_LENGTHS, ModelParams, headline_counts, make_rng
 from unshuffle.partitions import row_stats
+from unshuffle.perms import BlockStructure
 
 acceptance_lines = []
 
@@ -15,6 +21,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def load_bench_module(name, monkeypatch):
+    """``bench/<name>.py`` loaded as a module; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def row_partition(row):
     """Oracle: the columns grouped by their value in one corpus row, each
     part a tuple of column indices, parts ordered by their first column."""
@@ -22,6 +38,22 @@ def row_partition(row):
     for col, value in enumerate(row.tolist()):
         groups.setdefault(value, []).append(col)
     return tuple(tuple(cols) for cols in groups.values())
+
+
+def perm_counts_arg(counts):
+    """A {block permutation: column count} mapping as a 1-based
+    ``--perm-counts`` spec, in the mapping's order."""
+    return ";".join(",".join(str(a + 1) for a in sigma) + f"={count}"
+                    for sigma, count in counts.items())
+
+
+def headline_params(q, seed, factor=1):
+    """The acceptance criteria's six-block model: the headline pool drawn
+    from ``make_rng(10_000 + seed)``, column counts times ``factor``."""
+    counts = headline_counts(make_rng(10_000 + seed), factor)
+    return ModelParams(q=q, blocks=BlockStructure(HEADLINE_LENGTHS),
+                       num_messages=sum(counts.values()), noise_fraction=0.5,
+                       shuffle=counts, restricted_prefix=True, seed=seed)
 
 
 def column_sigmas(truth):

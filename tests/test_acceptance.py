@@ -117,7 +117,7 @@ def test_criterion_04_partition_profile_maxima():
         for lengths, expected_max in [((3, 5, 6, 7), 12),
                                       ((6, 9, 11, 12, 13), 30)]:
             corpus, blocks = _all_arrangement_corpus(lengths)
-            sizes = partition_profile(corpus).sizes
+            sizes = partition_profile(corpus).tolist()
             assert max(sizes) == expected_max
             # profile symmetric under row reversal
             assert sizes == sizes[::-1]

@@ -1,6 +1,7 @@
 """Command-line surface: round trips, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import perm_counts_arg
 from hypothesis import given, settings, strategies as st
 
 from unshuffle.cli import build_parser, cli_main
@@ -132,7 +134,28 @@ def test_sync_demo():
 
 def test_selftest_quick(capsys):
     assert run("selftest", "--quick") == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "selftest: ok"
+    assert capsys.readouterr().out.splitlines() == [
+        "two-block recovery: 20/20", "partition maxima exact: True",
+        "m-block recovery: 10/10", "selftest: ok"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ((), "alphabet size 4294967297 exceeds 4-byte words"),
+    (("--word-bytes", 4), "alphabet 4294967297 does not fit 4-byte words"),
+    (("--q", 300, "--word-bytes", 1), "alphabet 300 does not fit 1-byte words"),
+])
+def test_gen_rejects_the_word_size_before_generating(tmp_path, monkeypatch, capsys,
+                                                     flags, message):
+    # An alphabet the words cannot hold is refused before a corpus is drawn
+    # (AssertionError is not a usage error, so a draw would escape cli_main),
+    # and nothing is written.
+    def no_draw(params):
+        raise AssertionError("generate called")
+    monkeypatch.setattr("unshuffle.cli.generate", no_draw)
+    assert run("gen", "--q", 2 ** 32 + 1, "--lengths", "400,600", "--n", 4000,
+               "--lambda", 0.5, *flags, "--out", tmp_path / "corpus.bin") == 2
+    assert capsys.readouterr().err.strip() == f"gen: {message}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -391,9 +414,8 @@ def test_verify_prob_argv_exits_cleanly(data, event, q, m, wide, lam, nu, prefix
                                     max_size=4, unique=True))
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
                                          max_size=len(sigmas) - 1)))
-        flags["perm-counts"] = ";".join(
-            ",".join(str(b + 1) for b in sigma) + f"={hi - lo}"
-            for sigma, lo, hi in zip(sigmas, [0, *cuts], [*cuts, n]))
+        flags["perm-counts"] = perm_counts_arg(
+            {sigma: hi - lo for sigma, lo, hi in zip(sigmas, [0, *cuts], [*cuts, n])})
     if fault is not None:
         flags[fault] = data.draw(VERIFY_PROB_FAULTS[fault])
     with tempfile.TemporaryDirectory() as work:
@@ -454,8 +476,7 @@ def test_gen_argv_exits_cleanly_and_round_trips(data, q, m, wide, lam, nu, count
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
                                          max_size=len(sigmas) - 1)))
         shuffle = {sigma: hi - lo for sigma, lo, hi in zip(sigmas, [0, *cuts], [*cuts, n])}
-        flags["perm-counts"] = ";".join(",".join(str(b + 1) for b in sigma) + f"={count}"
-                                        for sigma, count in shuffle.items())
+        flags["perm-counts"] = perm_counts_arg(shuffle)
     else:
         shuffle = nu
         flags["nu"] = nu
@@ -492,6 +513,61 @@ def test_gen_argv_exits_cleanly_and_round_trips(data, q, m, wide, lam, nu, count
         assert loaded_truth.sigmas == truth.sigmas
         assert np.array_equal(loaded_truth.perm_index, truth.perm_index)
         assert loaded_truth.blocks == truth.blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), word_bytes=st.sampled_from([1, 2, 4]), record_len=st.integers(-1, 12),
+       n_records=st.integers(1, 12), ragged=st.sampled_from([False] * 3 + [True]),
+       source=st.sampled_from(["file"] * 4 + ["directory", "empty", "missing"]))
+def test_analyze_argv_exits_cleanly_and_matches_row_uniques(data, word_bytes, record_len,
+                                                           n_records, ragged, source):
+    # Any analyze invocation exits 0 or 2 without a traceback.  Files hold
+    # words of 1, 2 or 4 bytes over a small palette, so that two-valued rows
+    # occur; a ragged file (or a directory's extra file) holds a part of a
+    # record.  On exit 0 the report and the --out CSV agree with np.unique
+    # row by row.
+    dtype = WORD_DTYPES[word_bytes]
+    width = max(record_len, 1)
+    palette = data.draw(st.lists(st.integers(0, 256 ** word_bytes - 1), min_size=1,
+                                 max_size=3, unique=True))
+    records = np.array(data.draw(st.lists(st.sampled_from(palette),
+                                          min_size=n_records * width,
+                                          max_size=n_records * width)),
+                       dtype=dtype).reshape(n_records, width)
+    tail = records[0, :data.draw(st.integers(1, width - 1))] if ragged and width > 1 else None
+    with tempfile.TemporaryDirectory() as work:
+        corpus, csv_path, report_path = (Path(work) / name for name in
+                                         ("corpus", "profile.csv", "report.json"))
+        if source == "file":
+            corpus.write_bytes(records.tobytes() + (b"" if tail is None else tail.tobytes()))
+        elif source == "directory":
+            corpus.mkdir()
+            for i, record in enumerate([*records, *([] if tail is None else [tail])]):
+                (corpus / f"{i:03d}.bin").write_bytes(record.tobytes())
+        elif source == "empty":
+            corpus.write_bytes(b"")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("analyze", corpus, "--record-len", record_len, "--word-bytes",
+                       word_bytes, "--out", csv_path, "--json-report", report_path)
+        assert code in (0, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert (code == 0) == (source in ("file", "directory") and record_len >= 1
+                               and tail is None)
+        if code != 0:
+            return
+        sizes = [len(np.unique(row)) for row in records.T]
+        report = json.loads(report_path.read_text())
+        assert report["result"]["rows"] == record_len
+        assert report["result"]["cols"] == n_records
+        assert report["result"]["max_partition_size"] == max(sizes)
+        assert report["result"]["two_valued_rows"] == [
+            row + 1 for row, size in enumerate(sizes) if size == 2]
+        assert report["diagnostics"]["partition_sizes"] == sizes
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["row", "partition_size"]] + [
+            [str(row), str(size)] for row, size in enumerate(sizes, start=1)]
 
 
 @pytest.mark.parametrize("event", ["l0_exact", "l1_exact"])

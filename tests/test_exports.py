@@ -1,14 +1,15 @@
 """Guard against regrowth: every name the package exports has a caller in
 the library itself or in the acceptance criteria, not only in unit tests;
 rows are sorted only by ``partitions.row_stats`` and the solvers' columns
-rotated only by ``perms.rotate_columns``; and the benchmark tracer
-still finds the names it wraps, and its counters still read what the
-solvers pass and return."""
+rotated only by ``perms.rotate_columns``; the headline model's
+multiplicities are written out only in ``model.py`` and its two kept
+copies; and the benchmark tracer still finds the names it wraps, and its
+counters still read what the solvers pass and return."""
 
 import ast
-import importlib.util
-import sys
 from pathlib import Path
+
+from conftest import load_bench_module
 
 from unshuffle.cli import cli_main
 
@@ -60,6 +61,17 @@ def test_columns_are_rotated_only_in_perms():
         assert not {"roll", "concatenate"} & called_names(name), name
 
 
+def test_headline_multiplicities_are_written_out_only_where_kept():
+    # The headline model lives in model.py.  test_acceptance.py keeps its own
+    # copy as an independent oracle and bench/workloads.py the benchmark's;
+    # test_model.py checks both against model.py.  A fourth copy is a regrowth.
+    run = ", ".join(map(str, [16] + [8] * 2 + [4] * 4))
+    root = TESTS.parent
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *(root / "bench").glob("*.py")]
+    assert sorted(str(path.relative_to(root)) for path in paths if run in path.read_text()) \
+        == ["bench/workloads.py", "src/unshuffle/model.py", "tests/test_acceptance.py"]
+
+
 # Names bench/spans.py wraps that the library no longer has; the benchmark
 # reports them absent, and its next change drops or repoints them.
 STALE_TRACER_NAMES = {
@@ -72,11 +84,7 @@ STALE_TRACER_NAMES = {
 def test_tracer_finds_every_wrapped_name_but_the_stale_ones(monkeypatch, tmp_path):
     # A renamed or removed call site would silently zero a per-layer metric,
     # and a changed signature would break a counter only in traced runs.
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", TESTS.parent / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = load_bench_module("spans", monkeypatch)
     m_block, two_block = tmp_path / "m.bin", tmp_path / "two.bin"
     with spans.Tracer() as tracer:
         assert cli_main(["--seed", "4", "gen", "--q", "256", "--lengths", "5,7,8",

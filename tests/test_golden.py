@@ -10,8 +10,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import perm_counts_arg
 
 from unshuffle.cli import cli_main
+from unshuffle.model import HEADLINE_LENGTHS, HEADLINE_MULT, headline_counts
 
 
 def run(*argv):
@@ -86,29 +88,18 @@ def m_block_outputs(tmp_path, seed, perm_counts):
 
 # The headline six-block setup (restricted prefix, q=256, L=82) with its
 # column multiplicities scaled by ``factor``: N = 80 * factor.
-SIX_BLOCK_LENGTHS = "11,11,12,12,16,20"
-SIX_BLOCK_MULT = [16, 8, 8, 4, 4, 4, 4] + [2] * 8 + [1] * 16
-
-
 def six_block_counts(seed, factor):
-    """31 distinct block permutations drawn from ``seed``, as a 1-based
-    ``--perm-counts`` spec with the headline multiplicities times ``factor``."""
-    rng = np.random.default_rng((seed, 0))
-    pool = []
-    while len(pool) < len(SIX_BLOCK_MULT):
-        sigma = tuple(int(a) for a in rng.permutation(6))
-        if sigma not in pool:
-            pool.append(sigma)
-    return ";".join(",".join(str(a + 1) for a in sigma) + f"={m * factor}"
-                    for sigma, m in zip(pool, SIX_BLOCK_MULT))
+    """The headline pool drawn from ``seed``, as a 1-based ``--perm-counts``
+    spec with the multiplicities times ``factor``."""
+    return perm_counts_arg(headline_counts(np.random.default_rng((seed, 0)), factor))
 
 
 def six_block_outputs(tmp_path, seed, factor, q=256, word_bytes=None):
     corpus = tmp_path / "m.bin"
     truth = tmp_path / "m.bin.truth.json"
     words = word_flags(word_bytes)
-    assert run("--seed", seed, "gen", "--q", q, "--lengths", SIX_BLOCK_LENGTHS,
-               "--n", sum(SIX_BLOCK_MULT) * factor, "--lambda", 0.5,
+    assert run("--seed", seed, "gen", "--q", q, "--lengths", ",".join(map(str, HEADLINE_LENGTHS)),
+               "--n", sum(HEADLINE_MULT) * factor, "--lambda", 0.5,
                "--perm-counts", six_block_counts(seed, factor),
                "--restricted-prefix", *words, "--out", corpus) == 0
     aligned = tmp_path / "aligned.bin"

@@ -5,16 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import column_sigmas
+from conftest import column_sigmas, headline_params, load_bench_module, perm_counts_arg
 from hypothesis import assume, given, settings, strategies as st
+from test_acceptance import _six_block_params
 
 from unshuffle.corpus_io import WORD_DTYPES, word_bytes_for
 from unshuffle.model import (
+    HEADLINE_LENGTHS,
+    HEADLINE_MULT,
     InfeasibleParamsError,
     ModelParams,
     Sampler,
     ShuffledCorpus,
     generate,
+    headline_counts,
     make_rng,
 )
 from unshuffle.perms import (
@@ -403,3 +407,25 @@ def test_zero_size_draws_leave_the_stream_unchanged(seed):
     assert drawn.integers(0, 5, size=9).tolist() == fresh.integers(0, 5, size=9).tolist()
     assert drawn.integers(0, 2 ** 62, size=3).tolist() == \
         fresh.integers(0, 2 ** 62, size=3).tolist()
+
+
+def test_acceptance_copy_of_the_headline_model_agrees():
+    # Criterion 5 builds its six-block model by hand, an oracle independent
+    # of model.py; these are its draws.
+    for q, seeds in ((256, 50), (64, 10)):
+        for seed in range(seeds):
+            assert _six_block_params(q, seed) == headline_params(q, seed), (q, seed)
+
+
+def test_benchmark_copy_of_the_headline_pool_agrees(monkeypatch):
+    # bench/workloads.py keeps its own copy of the headline pool; the
+    # m_block_many jobs of bench seeds 1 and 2 draw these specs.
+    workloads = load_bench_module("workloads", monkeypatch)
+    assert workloads.HEADLINE_LENGTHS == HEADLINE_LENGTHS
+    assert tuple(workloads.HEADLINE_MULT) == HEADLINE_MULT
+    for seed in (1, 2):
+        for index in range(workloads.MBlockMany.pool):
+            job_seed = workloads.job_seed(seed, index)
+            for factor in workloads.MBlockMany.FACTORS:
+                assert workloads.six_block_counts(job_seed, factor) == perm_counts_arg(
+                    headline_counts(np.random.default_rng((job_seed, 0)), factor))

@@ -5,14 +5,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_row_stats_match_unique_loop, column_sigmas
+from conftest import (
+    assert_row_stats_match_unique_loop,
+    column_sigmas,
+    headline_params,
+    perm_counts_arg,
+)
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unshuffle import multi_block, partitions
 from unshuffle.cli import cli_main
 from unshuffle.corpus_io import CorpusSpec, load_corpus, write_corpus
-from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate, make_rng
+from unshuffle.model import (
+    HEADLINE_LENGTHS,
+    HEADLINE_MULT,
+    GroundTruth,
+    ModelParams,
+    ShuffledCorpus,
+    generate,
+    headline_counts,
+    make_rng,
+)
 from unshuffle.multi_block import (
     MUnshuffleResult,
     _alphabet,
@@ -345,30 +359,6 @@ def test_m_block_recovery_matches_compose_oracle(case):
 # fewer distinct values than ceil(N/4); a threshold of ceil(N/4) alone would
 # count every noise row as structured, and the headline corpora would stop
 # recovering.
-HEADLINE_LENGTHS = (11, 11, 12, 12, 16, 20)
-HEADLINE_MULT = [16, 8, 8, 4, 4, 4, 4] + [2] * 8 + [1] * 16
-
-
-def headline_pool(rng):
-    """The first 31 distinct permutations of the six blocks that ``rng``
-    draws, as the acceptance criteria and the benchmark draw their pools."""
-    pool = []
-    while len(pool) < len(HEADLINE_MULT):
-        sigma = tuple(int(a) for a in rng.permutation(len(HEADLINE_LENGTHS)))
-        if sigma not in pool:
-            pool.append(sigma)
-    return pool
-
-
-def headline_params(q, seed, factor):
-    """The acceptance criteria's six-block model, column counts times ``factor``."""
-    pool = headline_pool(make_rng(10_000 + seed))
-    return ModelParams(q=q, blocks=BlockStructure(HEADLINE_LENGTHS),
-                       num_messages=sum(HEADLINE_MULT) * factor, noise_fraction=0.5,
-                       shuffle={s: m * factor for s, m in zip(pool, HEADLINE_MULT)},
-                       restricted_prefix=True, seed=seed)
-
-
 @pytest.mark.parametrize("factor", [15, 25])   # N = 1200, 2000
 def test_headline_recovery_does_not_degrade_with_n(factor):
     hits = 0
@@ -408,14 +398,6 @@ def test_sparse_palette_keeps_its_successes():
         assert m_block_recovery(result, truth)
 
 
-def six_block_counts(seed, factor):
-    """The benchmark's headline pool (``bench/workloads.py``) as a 1-based
-    ``--perm-counts`` spec, multiplicities times ``factor``."""
-    pool = headline_pool(np.random.default_rng((seed, 0)))
-    return ";".join(",".join(str(a + 1) for a in sigma) + f"={m * factor}"
-                    for sigma, m in zip(pool, HEADLINE_MULT))
-
-
 def solve_headline_job(tmp_path, seed, q, factor):
     """Generate and solve one of the benchmark's headline jobs through the
     CLI; returns the exit code and the ``--json-report``."""
@@ -423,7 +405,8 @@ def solve_headline_job(tmp_path, seed, q, factor):
     assert cli_main(["--seed", str(seed), "gen", "--q", str(q),
                      "--lengths", ",".join(map(str, HEADLINE_LENGTHS)),
                      "--n", str(sum(HEADLINE_MULT) * factor), "--lambda", "0.5",
-                     "--perm-counts", six_block_counts(seed, factor),
+                     "--perm-counts",
+                     perm_counts_arg(headline_counts(np.random.default_rng((seed, 0)), factor)),
                      "--restricted-prefix", "--out", str(corpus)]) == 0
     code = cli_main(["unshuffle", str(corpus), "--record-len", str(sum(HEADLINE_LENGTHS)),
                      "--truth", f"{corpus}.truth.json", "--json-report", str(report)])
@@ -468,11 +451,11 @@ def test_short_record_false_successes_do_not_grow():
     # 27 fail, and 8 report success with a wrong alignment (6 of them with
     # the right lengths).  The solver cannot yet refuse these; their count
     # must not grow.
-    pool = headline_pool(make_rng(10_000))
+    counts = headline_counts(make_rng(10_000))
     false_successes = 0
     for seed in range(200):
         params = ModelParams(q=256, blocks=BlockStructure((3,) * 6), num_messages=80,
-                             noise_fraction=0.3, shuffle=dict(zip(pool, HEADLINE_MULT)),
+                             noise_fraction=0.3, shuffle=counts,
                              restricted_prefix=True, seed=seed)
         corpus, truth = generate(params)
         result = unshuffle_m(corpus)

@@ -35,11 +35,10 @@ def test_partition_profile():
     c = corpus([[1, 1, 1],
                 [1, 2, 1],
                 [1, 2, 3]])
-    profile = partition_profile(c)
-    assert profile.sizes == (1, 2, 3)
-    assert profile.max_size == 3
+    sizes = partition_profile(c)
+    assert sizes.dtype == np.intp and sizes.tolist() == [1, 2, 3]
     # rows without entries: size 1, as one empty part
-    assert partition_profile(corpus([[], []])).sizes == (1, 1)
+    assert partition_profile(corpus([[], []])).tolist() == [1, 1]
 
 
 @settings(deadline=None)
