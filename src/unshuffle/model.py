@@ -31,7 +31,8 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .perms import BlockStructure, Perm, check_perm, coherent_block_table, identity, random_perm
+from .perms import (BLOCK_ENTRIES, BlockStructure, Perm, check_perm, coherent_block_table,
+                    identity, random_perm)
 
 
 class InfeasibleParamsError(ValueError):
@@ -50,10 +51,6 @@ TWO_BLOCK_SWAP: Perm = (1, 0)
 # multiplicities (N=80).
 HEADLINE_LENGTHS = (11, 11, 12, 12, 16, 20)
 HEADLINE_MULT = (16, 8, 8, 4, 4, 4, 4) + (2,) * 8 + (1,) * 16
-
-# Entries per block of generated records: the budget the package's other
-# kernels work in, so a block's template fill, noise and gather stay in cache.
-BLOCK_ENTRIES = 2 ** 18
 
 
 def realized_count(fraction: float, size: int) -> int:

@@ -10,12 +10,11 @@ modes come from ``partitions.row_stats``, one row sort per repair pass.
 
 With each weight larger than the sum of all later ones (base 2 or more),
 the best score is the lexicographic maximum of the per-row match vector, so
-no score is ever summed.  The shift search refines candidates instead, for
-all columns at once: every column starts with all L shifts, each row in turn
-keeps the candidates that match there (if any do), and a column is settled
-once one candidate remains; on a tie the smallest shift wins.  After the
-first row a column typically has about 1 + L/q candidates left, so a round
-costs about O(N*L) rather than O(N*L^2).
+no score is ever summed.  The shift search lists candidate (column, shift)
+pairs, one block of columns at a time: the first row lists the shifts that
+match (all L where none does) at O(N*L) a round, and each later row keeps a
+column's matching pairs, if any, at O(pairs).  About 1 + L/q per column
+survive the first row, so a round costs about O(N*L), not O(N*L^2).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import row_stats
-from .perms import rotate_columns
+from .perms import BLOCK_ENTRIES, rotate_columns
 from .probs import occupancy
 
 NOISE_Z_MIN = -6.0  # a row of several values scoring below this against noise fails a run
@@ -64,29 +63,31 @@ def lex_best_shifts(ref: np.ndarray, cols: np.ndarray, rows=None) -> np.ndarray:
     """Per column of ``cols``, the cyclic shift ``s`` whose match vector
     ``[cols[(l+s) mod L, k] == ref[l] for l in rows]`` is lexicographically
     largest (earlier rows weigh more); the smallest such shift on ties.
-    ``rows`` defaults to every row, in order.
-
-    Candidate refinement: every column starts with all L shifts; at each row
-    the candidates that match there are kept, if any do, and a column leaves
-    the active set once a single candidate remains."""
+    ``rows`` defaults to every row, in order.  The candidate pairs are
+    kept for one block of about ``BLOCK_ENTRIES`` entries of ``cols`` at a
+    time, sorted by column and then by shift."""
     size, n_cols = cols.shape
+    rows = range(size) if rows is None else rows
     shifts = np.zeros(n_cols, dtype=np.intp)
-    active = np.arange(n_cols)
-    cand = np.ones((size, n_cols), dtype=bool)
-    for l in (range(size) if rows is None else rows):
-        done = cand.sum(axis=0) == 1
-        if done.any():
-            shifts[active[done]] = cand[:, done].argmax(axis=0)
-            active, cand, cols = active[~done], cand[:, ~done], cols[:, ~done]
-            if not len(active):
+    if not len(rows):
+        return shifts
+    step = max(1, BLOCK_ENTRIES // size)
+    for start in range(0, n_cols, step):
+        part = cols[:, start:start + step]
+        width = part.shape[1]
+        hits = np.empty((width, size), dtype=bool)  # hits[k, s] = (part[(l+s) mod L, k] == ref[l])
+        l = rows[0]
+        np.equal(part[l:].T, ref[l], out=hits[:, :size - l])
+        np.equal(part[:l].T, ref[l], out=hits[:, size - l:])
+        hits |= ~hits.any(axis=1, keepdims=True)
+        col, shift = np.divmod(np.flatnonzero(hits), size)
+        for l in rows[1:]:
+            if len(col) == width:
                 break
-        hits = np.empty_like(cand)  # hits[s] = (cols[(l+s) mod L] == ref[l])
-        np.equal(cols[l:], ref[l], out=hits[:size - l])
-        np.equal(cols[:l], ref[l], out=hits[size - l:])
-        hits &= cand
-        matched = hits.any(axis=0)
-        cand[:, matched] = hits[:, matched]
-    shifts[active] = cand.argmax(axis=0)
+            keep = part[(shift + l) % size, col] == ref[l]
+            keep |= np.bincount(col[keep], minlength=width)[col] == 0
+            col, shift = col[keep], shift[keep]
+        shifts[start:start + width] = shift[np.searchsorted(col, np.arange(width))]
     return shifts
 
 
@@ -145,15 +146,15 @@ def _repair_outliers(aligned: np.ndarray):
 
 def _alphabet(corpus: ShuffledCorpus) -> tuple:
     """The number of distinct symbols, and the largest + 1 (both 0 if empty).
-    Symbols below 2**16 are bincounted about 2**18 entries at a time, so no
-    intp copy of the whole corpus is made, each block in its memory order;
-    wider ones go through np.unique."""
+    Symbols below 2**16 are bincounted about ``BLOCK_ENTRIES`` entries at a
+    time, so no intp copy of the whole corpus is made, each block in its
+    memory order; wider ones go through np.unique."""
     values = corpus.values
     span = int(values.max()) + 1 if values.size else 0
     if span > 2 ** 16:
         return len(np.unique(values)), span
     hist = np.zeros(span, dtype=np.intp)
-    step = max(1, 2 ** 18 // (values.shape[1] + 1))
+    step = max(1, BLOCK_ENTRIES // (values.shape[1] + 1))
     for start in range(0, len(values), step):
         hist += np.bincount(values[start:start + step].ravel("K"), minlength=span)
     return int(np.count_nonzero(hist)), span

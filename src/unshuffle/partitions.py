@@ -22,20 +22,21 @@ import csv
 import numpy as np
 
 from .model import ShuffledCorpus
+from .perms import BLOCK_ENTRIES
 
 
 def row_stats(values: np.ndarray) -> tuple:
     """Per row of a 2-D integer array, from one sort: the partition size
     (number of distinct values) and the lower-middle sorted entry, in the
-    array's dtype.  Rows are sorted about 2**18 entries at a time, so the
-    sorted copy stays in cache and off the peak memory of a large corpus.
-    The copy is row-major whatever the input's layout: on a record-major
-    corpus it is the one transposing copy of the sort.  A row's distinct
-    values are counted as the set bytes of its mask of changes between
-    sorted neighbours, eight bytes per ``bitwise_count``, which is faster
-    than ``count_nonzero`` along the rows."""
+    array's dtype.  Rows are sorted about ``BLOCK_ENTRIES`` entries at a
+    time, so the sorted copy stays in cache and off the peak memory of a
+    large corpus.  The copy is row-major whatever the input's layout: on a
+    record-major corpus it is the one transposing copy of the sort.  A
+    row's distinct values are counted as the set bytes of its mask of
+    changes between sorted neighbours, eight bytes per ``bitwise_count``,
+    which is faster than ``count_nonzero`` along the rows."""
     n_cols = values.shape[1]
-    step = max(1, 2 ** 18 // (n_cols + 1))
+    step = max(1, BLOCK_ENTRIES // (n_cols + 1))
     wide = np.int16 if values.dtype.itemsize == 1 else values.dtype
     sizes = np.empty(len(values), dtype=np.intp)
     middle = np.zeros(len(values), dtype=values.dtype)
@@ -61,15 +62,15 @@ def two_valued_rows(corpus: ShuffledCorpus) -> np.ndarray:
     """Indices, ascending, of the rows whose partition has exactly two parts:
     the rows whose entries all equal the row's min or its max, with min below
     max.  No sort: two reductions, then two comparisons per entry, taken
-    about 2**18 entries at a time in whole columns, so each block of a
-    record-major corpus is one run of memory."""
+    about ``BLOCK_ENTRIES`` entries at a time in whole columns, so each
+    block of a record-major corpus is one run of memory."""
     values = corpus.values
     if not values.size:
         return np.empty(0, dtype=np.intp)
     low = values.min(axis=1, keepdims=True)
     high = values.max(axis=1, keepdims=True)
     two = (low < high)[:, 0]
-    step = max(1, 2 ** 18 // len(values))
+    step = max(1, BLOCK_ENTRIES // len(values))
     for start in range(0, values.shape[1], step):
         block = values[:, start:start + step]
         ends = block == low

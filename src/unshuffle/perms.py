@@ -33,6 +33,7 @@ import numpy as np
 
 Perm = tuple  # tuple[int, ...]; a 0-based one-line permutation
 SUBSET_SUM_MAX_BLOCKS = 25  # BlockStructure.subset_sums enumerates 2**M subsets
+BLOCK_ENTRIES = 2 ** 18  # entries per block of every blocked kernel: a block stays in cache
 
 
 class SizeMismatchError(ValueError):
@@ -85,10 +86,10 @@ def rotate_columns(values: np.ndarray, shifts: np.ndarray) -> None:
     <= the row count), in place.  The moved columns are taken as records and
     each is laid twice end to end; one gather then reads every record's
     window from its shift on, each window a contiguous run.  Columns go
-    through about 2**18 entries at a time, so the transposing copies stay in
-    cache."""
+    through about ``BLOCK_ENTRIES`` entries at a time, so the transposing
+    copies stay in cache."""
     moved = np.flatnonzero(shifts)
-    step = max(1, 2 ** 18 // len(values))
+    step = max(1, BLOCK_ENTRIES // len(values))
     for start in range(0, len(moved), step):
         cols = moved[start:start + step]
         records = values[:, cols].T

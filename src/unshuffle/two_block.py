@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import ShuffledCorpus
 from .partitions import two_valued_rows
-from .perms import rotate_columns
+from .perms import BLOCK_ENTRIES, rotate_columns
 
 
 class NotIdentifiableError(RuntimeError):
@@ -85,14 +85,14 @@ def align_cyclic(v0: np.ndarray, d0: np.ndarray,
     undefined entries never matching; ties break toward the smallest s.
 
     Every pair (i, j) of defined positions holding equal values adds 1 to
-    bin (i - j) mod L of an offset histogram.  Positions of side 0 are taken
-    in blocks of about 2**18 comparisons, so memory stays bounded."""
+    bin (i - j) mod L of an offset histogram.  Side 0's positions go in
+    blocks of about ``BLOCK_ENTRIES`` comparisons, so memory stays bounded."""
     total = len(v0)
     if len(v1) != total:
         raise ValueError("templates differ in length")
     i, j = np.flatnonzero(d0), np.flatnonzero(d1)
     hist = np.zeros(total, dtype=np.intp)
-    step = max(1, 2 ** 18 // (len(j) + 1))
+    step = max(1, BLOCK_ENTRIES // (len(j) + 1))
     for start in range(0, len(i), step):
         block = i[start:start + step]
         a, b = np.nonzero(v0[block, None] == v1[j])

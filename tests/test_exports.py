@@ -1,10 +1,11 @@
 """Guard against regrowth: every name the package exports has a caller in
 the library itself or in the acceptance criteria, not only in unit tests;
 rows are sorted only by ``partitions.row_stats`` and the solvers' columns
-rotated only by ``perms.rotate_columns``; the headline model's
-multiplicities are written out only in ``model.py`` and its two kept
-copies; and the benchmark tracer still finds the names it wraps, and its
-counters still read what the solvers pass and return."""
+rotated only by ``perms.rotate_columns``; the block budget is written out
+once, in ``perms``; the headline model's multiplicities are written out
+only in ``model.py`` and its two kept copies; and the benchmark tracer
+still finds the names it wraps, and its counters still read what the
+solvers pass and return."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,15 @@ def test_columns_are_rotated_only_in_perms():
     # scoring and probs keep their 1-D rolls of masks.
     for name in ("multi_block.py", "two_block.py"):
         assert not {"roll", "concatenate"} & called_names(name), name
+
+
+def test_block_budget_is_written_out_once():
+    # Every blocked kernel reads perms.BLOCK_ENTRIES (model imports it from
+    # there); a second 2 ** 18 beside it is a budget that can drift apart.
+    found = [path.name for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 18"]
+    assert found == ["perms.py"]
 
 
 def test_headline_multiplicities_are_written_out_only_where_kept():

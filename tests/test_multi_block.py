@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,10 +97,7 @@ def shift_cases(draw):
     return values[:, 0], values[:, 1:], np.array(rows, dtype=np.intp)
 
 
-@settings(deadline=None, max_examples=300)
-@given(shift_cases())
-def test_lex_best_shifts_matches_weighted_oracle(case):
-    ref, cols, rows = case
+def assert_best_shifts_match_oracle(ref, cols, rows):
     expected = [best_shift_oracle(match_matrix_oracle(ref, cols[:, k]))
                 for k in range(cols.shape[1])]
     assert lex_best_shifts(ref, cols).tolist() == expected
@@ -107,6 +105,36 @@ def test_lex_best_shifts_matches_weighted_oracle(case):
     expected = [best_shift_oracle(match_matrix_oracle(ref, cols[:, k])[rows])
                 for k in range(cols.shape[1])]
     assert lex_best_shifts(ref, cols, rows).tolist() == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(shift_cases())
+def test_lex_best_shifts_matches_weighted_oracle(case):
+    assert_best_shifts_match_oracle(*case)
+
+
+@settings(deadline=None, max_examples=200)
+@given(shift_cases(), st.integers(1, 3))
+def test_lex_best_shifts_matches_the_oracle_across_column_blocks(case, per_block):
+    # The search runs one block of about BLOCK_ENTRIES entries of columns at
+    # a time; a budget of 1-3 columns puts the drawn columns in several blocks.
+    ref, cols, rows = case
+    with mock.patch.object(multi_block, "BLOCK_ENTRIES", len(ref) * per_block):
+        assert_best_shifts_match_oracle(ref, cols, rows)
+
+
+def test_shift_search_memory_stays_within_a_block():
+    # A q=3 record-major corpus keeps about a third of each column's shifts
+    # after the first row.  The candidates are listed one block of columns
+    # at a time, so the search holds no (L, N) array of any kind.
+    values = np.random.default_rng(3).integers(0, 3, (4000, 1000), dtype=np.uint8).T
+    tracemalloc.start()
+    try:
+        lex_best_shifts(values[:, 0], values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.size
 
 
 @settings(deadline=None, max_examples=300)
@@ -396,6 +424,49 @@ def test_sparse_palette_keeps_its_successes():
         result = unshuffle_m(ShuffledCorpus(values=palette[corpus.values], q=2 ** 16))
         assert result.success, result.failure_reason
         assert m_block_recovery(result, truth)
+
+
+# Metamorphic relations: the solver is blind to the symbols' names and to
+# the order of the records, so a kernel rewrite that starts to depend on
+# either breaks one of them on some headline corpus.
+headline_corpora = st.builds(lambda q, seed, factor: generate(headline_params(q, seed, factor))[0],
+                             st.sampled_from([64, 256]), st.integers(0, 2 ** 16),
+                             st.sampled_from([1, 5]))  # N = 80, 400
+
+
+def assert_same_verdict(result, base):
+    assert result.lengths == base.lengths
+    assert (result.success, result.failure_reason) == (base.success, base.failure_reason)
+    assert result.column_perms.dtype == base.column_perms.dtype
+
+
+@settings(deadline=None, max_examples=40)
+@given(headline_corpora, st.integers(0, 2 ** 32 - 1))
+def test_relabeling_the_symbols_changes_no_shift(corpus, seed):
+    # The relabeling fixes the largest symbol, so the threshold's span stays.
+    span = int(corpus.values.max()) + 1
+    names = np.append(make_rng(seed).permutation(span - 1), span - 1).astype(corpus.values.dtype)
+    base = unshuffle_m(corpus)
+    renamed = unshuffle_m(ShuffledCorpus(values=names[corpus.values], q=corpus.q))
+    assert_same_verdict(renamed, base)
+    assert renamed.trace == base.trace
+    assert np.array_equal(renamed.column_perms, base.column_perms)
+    assert np.array_equal(renamed.aligned.values, names[base.aligned.values])
+
+
+@settings(deadline=None, max_examples=40)
+@given(headline_corpora, st.integers(0, 2 ** 32 - 1))
+def test_reordering_the_records_permutes_the_shifts(corpus, seed):
+    # Record 0 is the reference column, so it stays first.
+    order = np.append(0, 1 + make_rng(seed).permutation(corpus.n_cols - 1))
+    base = unshuffle_m(corpus)
+    moved = unshuffle_m(ShuffledCorpus(values=corpus.values[:, order], q=corpus.q))
+    assert_same_verdict(moved, base)
+    assert [(t.start_row, t.boundary, t.shifts) for t in moved.trace] \
+        == [(t.start_row, t.boundary, tuple(np.array(t.shifts)[order].tolist()))
+            for t in base.trace]
+    assert np.array_equal(moved.column_perms, base.column_perms[order])
+    assert np.array_equal(moved.aligned.values, base.aligned.values[:, order])
 
 
 def solve_headline_job(tmp_path, seed, q, factor):
