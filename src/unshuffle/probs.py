@@ -3,26 +3,30 @@ seeded Monte Carlo harness that checks each formula against simulation.
 
 Count conventions: the swapped-column count and the noise-locus count are
 the exact integer counts the generator realizes (``model.realized_count``:
-ceil of fraction times size); the closed forms take them as exponents.
-Powers like q**(1 - count) are computed via exp/log to avoid spurious
-underflow inside differences.
+ceil of fraction times size); the closed forms take them as exponents.  One
+rule, ``_sides``, gives every two-block form and simulation its two side
+counts, and rejects q < 2 or an empty side before any power is taken.
+Powers like q**(1 - count), and p_2's split of a side of c columns,
+(2**(c - 1) - 1) q**(1 - c) = (q/2)**(1 - c) - q**(1 - c), are computed
+via exp/log, so none overflows at large N or underflows inside a difference.
 
-The two-value formulas treat the noise membership of a position and of its
-shifted image as independent events of probability lambda; the Monte Carlo
-for those events simulates exactly that single-row experiment.  (A fixed
-noise-locus count of ceil(lambda * L) introduces an O(1/L) dependence
-between the two memberships that the formulas ignore.)  The conserved-row
-and prefix events are simulated on full generated corpora, where the
-formulas are exact.  Conserved rows come from the two-block solver's
-``two_block.side_conserved`` and partition sizes from
+``monte_carlo`` looks its event up in one table, ``_EVENTS`` (the source of
+``MC_EVENTS``): each row names a counter, which returns the closed form and
+the number of trials in which the event happened, and the form or side it
+counts (0 or 1 for p_n/p_2 and for l0/l1, None for the prefix event).  A
+new event is one more row.  The two-value formulas treat the noise
+membership of a position and of its shifted image as independent events of
+probability lambda; their counter simulates exactly that single-row
+experiment.  (A fixed noise-locus count of ceil(lambda * L) introduces an
+O(1/L) dependence between the two memberships that the formulas ignore.)
+The conserved-row and prefix events are simulated on full generated
+corpora, where the formulas are exact.  Conserved rows come from the
+two-block solver's ``two_block.side_conserved`` and partition sizes from
 ``partitions.row_stats``, so each check tests the code the solvers run.
-Each Monte Carlo run sets the model up once (a ``model.Sampler``) and
-draws its corpora from it trial by trial, making the generator's per-trial
-RNG calls in the contract's order (a model without noise loci makes no
-loci call, and each trial's noise shares one draw with the next trial's
-template).  The draws come back as arrays; their assembly and the event
-test are batched, a chunk of about 2**14 symbols (``CHUNK_SYMBOLS``) at a
-time, and no per-trial ground truth is built.
+Each such run sets the model up once (a ``model.Sampler``) and draws its
+corpora trial by trial in the generator's RNG order, as arrays; their
+assembly and the event test are batched, a chunk of about 2**14 symbols
+(``CHUNK_SYMBOLS``) at a time, and no per-trial ground truth is built.
 
 An estimate agrees with its closed form unless the exact binomial tail
 beyond it, on its side of the mean, holds less than half of a two-sided
@@ -58,15 +62,20 @@ def _qpow(q: float, exponent: float) -> float:
         return math.inf
 
 
-def p_n_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
-    """Probability that one row takes exactly two values whose inverse images
-    are the swapped/unswapped column sets."""
+def _sides(q: int, n: int, swap_frac: float) -> tuple:
+    """The realized (unswapped, swapped) column counts of a two-block model."""
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
     n1 = realized_count(swap_frac, n)
-    n0 = n - n1
     if not 0 < n1 < n:
         raise ValueError("swapped fraction must leave both sides nonempty")
+    return n - n1, n1
+
+
+def p_n_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
+    """Probability that one row takes exactly two values whose inverse images
+    are the swapped/unswapped column sets."""
+    n0, n1 = _sides(q, n, swap_frac)
     lam = noise_frac
     lam_bar = 1.0 - lam
     body = (lam_bar ** 2
@@ -77,18 +86,13 @@ def p_n_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
 
 def p2_closed(q: int, n: int, noise_frac: float, swap_frac: float) -> float:
     """Probability that one row takes exactly two values, any bipartition."""
-    n1 = realized_count(swap_frac, n)
-    n0 = n - n1
-    if not 0 < n1 < n:
-        raise ValueError("swapped fraction must leave both sides nonempty")
+    n0, n1 = _sides(q, n, swap_frac)
     lam = noise_frac
     lam_bar = 1.0 - lam
-    split1 = (2.0 ** (n1 - 1) - 1.0) * _qpow(q, 1 - n1)
-    split0 = (2.0 ** (n0 - 1) - 1.0) * _qpow(q, 1 - n0)
+    split0, split1 = (_qpow(q / 2, 1 - c) - _qpow(q, 1 - c) for c in (n0, n1))
     extra = ((lam_bar * lam + lam ** 2 * _qpow(q, 1 - n0)) * split1
              + (lam * lam_bar + lam ** 2 * _qpow(q, 1 - n1)) * split0
-             + lam ** 2 * (2.0 ** (n0 - 1) - 1.0) * (2.0 ** (n1 - 1) - 1.0)
-             * _qpow(q, 2 - n))
+             + lam ** 2 * split0 * split1)
     return p_n_closed(q, n, noise_frac, swap_frac) + 2.0 * (1.0 - 1.0 / q) * extra
 
 
@@ -104,12 +108,8 @@ def l_sets_exact_prob(q: int, n: int, length: int,
                       noise_frac: float, swap_frac: float) -> tuple:
     """Probabilities, given the swapped set is known exactly, that the two
     conserved-row sets identify the noise-free loci exactly."""
-    n1 = realized_count(swap_frac, n)
-    n0 = n - n1
     k = realized_count(noise_frac, length)
-    p0 = (1.0 - _qpow(q, 1 - n0)) ** k
-    p1 = (1.0 - _qpow(q, 1 - n1)) ** k
-    return p0, p1
+    return tuple((1.0 - _qpow(q, 1 - c)) ** k for c in _sides(q, n, swap_frac))
 
 
 def prefix_partition_prob(q: int, k: int) -> tuple:
@@ -226,9 +226,9 @@ def _report(event: str, closed: float, hits: int, trials: int) -> ProbReport:
 
 def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):
     """Vectorized single-row experiment: independent noise membership for the
-    position and its shifted image, exact column counts per side."""
-    n1 = realized_count(swap_frac, n)
-    n0 = n - n1
+    position and its shifted image, exact column counts per side.  Returns
+    the p_n and the p_2 outcomes, the two-value counter's forms 0 and 1."""
+    n0, n1 = _sides(q, n, swap_frac)
     noisy0 = rng.random(trials) < noise_frac
     noisy1 = rng.random(trials) < noise_frac
     base0 = rng.integers(0, q, size=trials)
@@ -246,18 +246,6 @@ def _simulate_two_value_rows(q, n, noise_frac, swap_frac, trials, rng):
     return correct, row_stats(corpora[:, 0])[0] == 2
 
 
-def _mc_two_value(event, params, trials, rng):
-    q, n = params.q, params.num_messages
-    if event == "p_n":
-        closed = p_n_closed(q, n, params.noise_fraction, float(params.shuffle))
-    else:
-        closed = p2_closed(q, n, params.noise_fraction, float(params.shuffle))
-    correct, two_valued = _simulate_two_value_rows(
-        q, n, params.noise_fraction, float(params.shuffle), trials, rng)
-    hits = int(np.count_nonzero(correct if event == "p_n" else two_valued))
-    return _report(event, closed, hits, trials)
-
-
 # Symbols per Monte Carlo chunk: enough trials per batch to spread its fixed
 # cost (81 at the criterion-6 settings), few enough to keep the chunk small.
 CHUNK_SYMBOLS = 2 ** 14
@@ -272,31 +260,38 @@ def _chunks(sampler, trials, rng):
         yield sampler.batch(min(step, trials - start), rng)
 
 
-def _mc_conserved_rows(event, params, trials, rng):
-    # Checked first: with an empty side the closed form's power overflows.
-    if not 0 < params.shuffled_count < params.num_messages:
-        raise ValueError("swapped column set must be nonempty and proper")
-    p0, p1 = l_sets_exact_prob(params.q, params.num_messages, params.blocks.total,
-                               params.noise_fraction, float(params.shuffle))
-    closed = p0 if event == "l0_exact" else p1
+def _two_value_hits(params, trials, rng, form):
+    """p_n (form 0) or p_2 (form 1): its closed form, and the number of
+    single-row trials in which it happens."""
+    args = (params.q, params.num_messages, params.noise_fraction, float(params.shuffle))
+    closed = (p_n_closed, p2_closed)[form](*args)
+    return closed, int(np.count_nonzero(_simulate_two_value_rows(*args, trials, rng)[form]))
+
+
+def _conserved_hits(params, trials, rng, side):
+    """l0_exact (side 0) or l1_exact (side 1): its closed form, and the number
+    of generated corpora in which that side's conserved rows, in its own
+    frame, are exactly the noise-free loci."""
+    closed = l_sets_exact_prob(params.q, params.num_messages, params.blocks.total,
+                               params.noise_fraction, float(params.shuffle))[side]
     sampler = Sampler(params)
     # Per sigma: does it swap the blocks?  Gathered through each column's index.
     swaps = np.array([sigma != identity(2) for sigma in sampler.sigmas])
     hits = 0
     for batch in _chunks(sampler, trials, rng):
-        swapped = swaps[batch.perm_index]
-        side = ~swapped if event == "l0_exact" else swapped
-        conserved = side_conserved(batch.values, side)  # the two-block solver's rule
+        # The two-block solver's rule on the columns of this side.
+        conserved = side_conserved(batch.values, swaps[batch.perm_index] == side)
         noise_free = np.ones(conserved.shape, dtype=bool)
         np.put_along_axis(noise_free, batch.loci, False, axis=1)
-        if event == "l1_exact":
-            # The swapped columns start with the second block.
-            noise_free = np.roll(noise_free, -params.blocks.lengths[0], axis=1)
+        # The swapped columns start with the second block.
+        noise_free = np.roll(noise_free, -side * params.blocks.lengths[0], axis=1)
         hits += int(np.count_nonzero((conserved == noise_free).all(axis=1)))
-    return _report(event, closed, hits, trials)
+    return closed, hits
 
 
-def _mc_prefix_partition(event, params, trials, rng):
+def _prefix_hits(params, trials, rng, _):
+    """prefix_partition: its closed form, and the number of generated corpora
+    whose row 0 splits the columns as their first blocks do."""
     closed = prefix_partition_closed(params)
     sampler = Sampler(params)
     first_of = np.array([sigma[0] for sigma in sampler.sigmas])
@@ -313,10 +308,18 @@ def _mc_prefix_partition(event, params, trials, rng):
         same = ((parts == realized)
                 & (parts == row_stats(first_block * params.q + row0)[0]))
         hits += int(np.count_nonzero(same))
-    return _report(event, closed, hits, trials)
+    return closed, hits
 
 
-MC_EVENTS = ("p_n", "p_2", "l0_exact", "l1_exact", "prefix_partition")
+# Each event's counter, and the form or side it counts (two-block events only).
+_EVENTS = {
+    "p_n": (_two_value_hits, 0),
+    "p_2": (_two_value_hits, 1),
+    "l0_exact": (_conserved_hits, 0),
+    "l1_exact": (_conserved_hits, 1),
+    "prefix_partition": (_prefix_hits, None),
+}
+MC_EVENTS = tuple(_EVENTS)
 
 
 def monte_carlo(event: str, params: ModelParams, trials: int,
@@ -324,16 +327,11 @@ def monte_carlo(event: str, params: ModelParams, trials: int,
     """Estimate the named event frequency and compare with its closed form."""
     if trials < 100:
         raise ValueError("too few trials for a meaningful standard error")
-    if (event in ("p_n", "p_2", "l0_exact", "l1_exact")
-            and isinstance(params.shuffle, Mapping)):
+    if event not in _EVENTS:
+        raise ValueError(f"unknown event {event!r}; expected one of {MC_EVENTS}")
+    counter, index = _EVENTS[event]
+    if index is not None and isinstance(params.shuffle, Mapping):
         raise ValueError(f"{event} needs a two-block swapped fraction, "
                          "not permutation counts")
-    if rng is None:
-        rng = make_rng(params.seed)
-    if event in ("p_n", "p_2"):
-        return _mc_two_value(event, params, trials, rng)
-    if event in ("l0_exact", "l1_exact"):
-        return _mc_conserved_rows(event, params, trials, rng)
-    if event == "prefix_partition":
-        return _mc_prefix_partition(event, params, trials, rng)
-    raise ValueError(f"unknown event {event!r}; expected one of {MC_EVENTS}")
+    closed, hits = counter(params, trials, make_rng(params.seed) if rng is None else rng, index)
+    return _report(event, closed, hits, trials)

@@ -4,13 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import perm_counts_arg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from unshuffle.cli import build_parser, cli_main
 from unshuffle.corpus_io import (
@@ -23,6 +24,7 @@ from unshuffle.corpus_io import (
 from unshuffle.model import BLOCK_ENTRIES, ModelParams, generate
 from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import CHUNK_SYMBOLS, MC_EVENTS
+from unshuffle.sync import SEARCH_CAP
 
 
 def run(*argv):
@@ -241,11 +243,10 @@ def test_usage_errors(tmp_path, capsys):
         assert run("sync-demo", *flags) == 2
         assert capsys.readouterr().err.strip() == f"sync-demo: {message}"
     # verify-prob: the two-block events need a swapped fraction that leaves
-    # both sides nonempty; every event needs 100 trials.
+    # both sides nonempty, each with the one message; every event needs 100
+    # trials.
+    sides = "swapped fraction must leave both sides nonempty"
     for event in ("p_n", "p_2", "l0_exact", "l1_exact"):
-        sides = ("swapped fraction must leave both sides nonempty"
-                 if event in ("p_n", "p_2")
-                 else "swapped column set must be nonempty and proper")
         for flags, message in [
                 (("--n", 20, "--perm-counts", "1,2=10;2,1=10", "--trials", 200),
                  f"{event} needs a two-block swapped fraction, not permutation counts"),
@@ -570,11 +571,154 @@ def test_analyze_argv_exits_cleanly_and_matches_row_uniques(data, word_bytes, re
             [str(row), str(size)] for row, size in enumerate(sizes, start=1)]
 
 
-@pytest.mark.parametrize("event", ["l0_exact", "l1_exact"])
+@pytest.mark.parametrize("event", ["p_n", "p_2", "l0_exact", "l1_exact"])
 def test_verify_prob_empty_side_is_a_usage_error_at_any_q(event, capsys):
     # With an empty side the closed form's power overflows for a wide
     # alphabet; the side check comes first.
     assert run("--seed", 0, "verify-prob", event, "--q", 2 ** 32 + 1, "--lengths", "60,60",
                "--n", 137, "--lambda", 0.5, "--nu", 0, "--trials", 100) == 2
     assert capsys.readouterr().err.strip() == \
-        "verify-prob: swapped column set must be nonempty and proper"
+        "verify-prob: swapped fraction must leave both sides nonempty"
+
+
+def test_verify_prob_p2_with_a_side_of_over_1024_columns(tmp_path):
+    # 2**(c - 1) for a side of c columns overflows past c = 1024: the closed
+    # form was NaN from N = 1028 and raised OverflowError at N = 2100.
+    report = tmp_path / "p2.json"
+    assert run("--seed", 1, "verify-prob", "p_2", "--q", 3, "--lengths", "4,6", "--n", 2100,
+               "--lambda", 0.5, "--nu", 0.5, "--trials", 200,
+               "--json-report", report) in (0, 1)
+    doc = json.loads(report.read_text())
+    assert math.isfinite(doc["result"]["closed_form"])
+    assert doc["success"] == doc["result"]["agrees"]
+
+
+def run_captured(*argv):
+    """``run(*argv)`` with its printed output captured: (exit code, text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+# One deliberate fault per invocation at most, as for gen and verify-prob.
+SOLVER_FAULTS = {
+    "record-len": st.sampled_from([-1, 0, "x"]),
+    "word-bytes": st.sampled_from([3, 8]),
+    "truth": st.sampled_from(["{}", "[", '{"q": 3}']),
+    "corpus": st.sampled_from(["missing", "empty", "ragged"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["unshuffle2", "unshuffle"]),
+       source=st.sampled_from(["gen"] * 3 + ["palette", "directory"]),
+       q=st.sampled_from([2, 3, 5, 16, 256, 1000]), m=st.integers(1, 4),
+       lam=st.sampled_from([0.0, 0.2, 0.5]), prefix=st.sampled_from([(), ("--restricted-prefix",)]),
+       scored=st.booleans(), aligned=st.booleans(),
+       fault=st.sampled_from([None] * 8 + sorted(SOLVER_FAULTS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_argv_exits_cleanly(data, command, source, q, m, lam, prefix, scored, aligned,
+                                   fault, seed):
+    # Any unshuffle2 or unshuffle invocation exits 0, 1 or 2 without a
+    # traceback, exits 2 exactly when it holds a fault, and a written
+    # report's success is the exit code's.  Files hold a corpus that gen
+    # wrote (with its truth sidecar), or random words over a small palette
+    # in one file or one record per file; either solver gets either kind.
+    lengths = data.draw(st.tuples(*[st.integers(1, 8)] * m))
+    record_len = sum(lengths)
+    n = data.draw(st.integers(1, 30))
+    with tempfile.TemporaryDirectory() as work:
+        corpus, truth, out, report_path = (Path(work) / name for name in
+                                           ("corpus", "corpus.truth.json", "out", "r.json"))
+        if source == "gen":
+            sigmas = data.draw(st.lists(st.sampled_from(list(all_perms(m))), min_size=1,
+                                        max_size=4, unique=True))
+            cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=len(sigmas) - 1,
+                                             max_size=len(sigmas) - 1)))
+            counts = perm_counts_arg({sigma: hi - lo for sigma, lo, hi
+                                      in zip(sigmas, [0, *cuts], [*cuts, n])})
+            code, _ = run_captured("--seed", seed, "gen", "--q", q, "--lengths",
+                                   ",".join(map(str, lengths)), "--n", n, "--lambda", lam,
+                                   "--perm-counts", counts, *prefix, "--out", corpus)
+            assume(code == 0)  # the prefix flags leave too few loci for some lengths
+            word_bytes = word_bytes_for(q)
+        else:
+            word_bytes = data.draw(st.sampled_from([1, 2, 4]))
+            palette = data.draw(st.lists(st.integers(0, 256 ** word_bytes - 1), min_size=1,
+                                         max_size=3, unique=True))
+            records = np.array(data.draw(st.lists(st.sampled_from(palette),
+                                                  min_size=n * record_len,
+                                                  max_size=n * record_len)),
+                               dtype=WORD_DTYPES[word_bytes]).reshape(n, record_len)
+            if source == "palette":
+                corpus.write_bytes(records.tobytes())
+            else:
+                corpus.mkdir()
+                for i, record in enumerate(records):
+                    (corpus / f"{i:03d}.bin").write_bytes(record.tobytes())
+        flags = {"record-len": record_len, "word-bytes": word_bytes}
+        if scored and source == "gen":
+            flags["truth"] = truth
+        if aligned:
+            flags["out"] = out
+        if fault == "truth":
+            truth.write_text(data.draw(SOLVER_FAULTS["truth"]))
+            flags["truth"] = truth
+        elif fault == "corpus":
+            kind = data.draw(SOLVER_FAULTS["corpus"])
+            # A one-byte record has no part to cut a ragged file at.
+            assume(source != "directory" and (kind != "ragged" or record_len * word_bytes > 1))
+            if kind == "missing":
+                corpus.unlink()
+            else:
+                size = corpus.stat().st_size
+                with open(corpus, "r+b") as handle:
+                    handle.truncate(0 if kind == "empty" else size - 1)
+        elif fault is not None:
+            flags[fault] = data.draw(SOLVER_FAULTS[fault])
+        code, text = run_captured(command, corpus, "--json-report", report_path,
+                                  *[arg for key, value in flags.items()
+                                    for arg in (f"--{key}", value)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in text
+        assert (code == 2) == (fault is not None), text
+        if code != 2:
+            assert json.loads(report_path.read_text())["success"] == (code == 0)
+            if aligned and out.exists():
+                assert out.stat().st_size == n * record_len * word_bytes
+
+
+SYNC_DEMO_FAULTS = {
+    "q": st.sampled_from([0, 1]),
+    "lengths": st.sampled_from(["0,3", "4,-1", "x", ""]),
+    "n": st.sampled_from([0, -1]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 17, 256]), m=st.integers(1, 4),
+       n=st.integers(1, 4), fault=st.sampled_from([None] * 6 + sorted(SYNC_DEMO_FAULTS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sync_demo_argv_exits_cleanly(data, q, m, n, fault, seed):
+    # Any sync-demo invocation exits 0, 1 or 2 without a traceback, and a
+    # written report's success is the exit code's.  The search enumerates
+    # (M!)**N assignments: at most 6**4 here, or so many (24**5 and more)
+    # that it is refused before enumerating.
+    if m == 4 and n >= 2:
+        n = data.draw(st.integers(5, 8))
+    flags = {"q": q, "lengths": ",".join(map(str, data.draw(st.tuples(*[st.integers(1, 4)] * m)))),
+             "n": n}
+    if fault is not None:
+        flags[fault] = data.draw(SYNC_DEMO_FAULTS[fault])
+    with tempfile.TemporaryDirectory() as work:
+        report_path = Path(work) / "sync.json"
+        code, text = run_captured("--seed", seed, "sync-demo", "--json-report", report_path,
+                                  *[arg for key, value in flags.items()
+                                    for arg in (f"--{key}", value)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in text
+        assert (code == 2) == (fault is not None or math.factorial(m) ** n > SEARCH_CAP), text
+        if code != 2:
+            report = json.loads(report_path.read_text())
+            assert report["success"] == (code == 0) == report["result"]["synchronized"]

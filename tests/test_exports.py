@@ -2,7 +2,8 @@
 the library itself or in the acceptance criteria, not only in unit tests;
 rows are sorted only by ``partitions.row_stats`` and the solvers' columns
 rotated only by ``perms.rotate_columns``; the block budget is written out
-once, in ``perms``; the headline model's multiplicities are written out
+once, in ``perms``; the Monte Carlo events are told apart only by the
+rows of one table; the headline model's multiplicities are written out
 only in ``model.py`` and its two kept copies; and the benchmark tracer
 still finds the names it wraps, and its counters still read what the
 solvers pass and return."""
@@ -13,6 +14,7 @@ from pathlib import Path
 from conftest import load_bench_module
 
 from unshuffle.cli import cli_main
+from unshuffle.probs import MC_EVENTS
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "unshuffle"
@@ -69,6 +71,20 @@ def test_block_budget_is_written_out_once():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** 18"]
     assert found == ["perms.py"]
+
+
+def test_monte_carlo_events_are_rows_of_one_table():
+    # monte_carlo finds an event's counter and side in probs._EVENTS; a
+    # comparison with an event name beside it (``event == "p_n"``, ``event
+    # in ("l0_exact", "l1_exact")``) is a second place that decides it.
+    def names(node):
+        elements = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {e.value for e in elements if isinstance(e, ast.Constant)} & set(MC_EVENTS)
+
+    found = [ast.unparse(node) for node in ast.walk(ast.parse((SRC / "probs.py").read_text()))
+             if isinstance(node, ast.Compare)
+             and any(names(operand) for operand in [node.left, *node.comparators])]
+    assert found == []
 
 
 def test_headline_multiplicities_are_written_out_only_where_kept():

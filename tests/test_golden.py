@@ -257,7 +257,8 @@ GOLDEN = {
         "unshuffle_exit": 0,
     },
     "verify_p_2": {
-        "verify_prob": "50295d79c1287a55",
+        # closed_form 0.21181472843235885, with p_2's side splits in log space.
+        "verify_prob": "992e58d9cfeba617",
         "verify_prob_exit": 0,
     },
     "verify_p_n": {

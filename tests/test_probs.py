@@ -14,8 +14,8 @@ from unshuffle.perms import BlockStructure, all_perms
 from unshuffle.probs import (
     CHUNK_SYMBOLS,
     MC_EVENTS,
-    _mc_conserved_rows,
-    _mc_prefix_partition,
+    _conserved_hits,
+    _prefix_hits,
     _report,
     gap_decay,
     l_sets_exact_prob,
@@ -61,6 +61,47 @@ def test_closed_form_validation():
         p2_closed(3, 10, 0.5, 1.0)    # no unswapped columns
     with pytest.raises(ValueError):
         gap_decay(2, 10, 0.5)
+    # The conserved-row forms take the same side rule: no -32.0 for an
+    # empty side, and no (0.0, 0.0) for a one-symbol alphabet.
+    for q, nu in ((3, 0.0), (3, 1.0), (1, 0.5)):
+        with pytest.raises(ValueError):
+            l_sets_exact_prob(q, 20, 10, 0.5, nu)
+
+
+@pytest.mark.parametrize("n", [1028, 2000, 2100, 5000])
+def test_p2_stays_finite_when_a_side_is_wide(n):
+    # 2**(c - 1) for a side of c columns overflows past c = 1024; the split
+    # of a side is taken in log space, so p_2 stays a probability.
+    for q in (2, 3, 256):
+        for lam in (0.0, 0.5, 1.0):
+            for nu in (0.3, 0.5):
+                p2, pn = p2_closed(q, n, lam, nu), p_n_closed(q, n, lam, nu)
+                assert math.isfinite(p2) and pn - 1e-15 <= p2 <= 1.0, (q, lam, nu)
+
+
+def p2_exact(q, n0, n1, lam):
+    """p_2 in exact rational arithmetic, with each side's split count
+    2**(c - 1) - 1 written as an integer."""
+    lam = Fraction(lam)
+    bar = 1 - lam
+    pw = [Fraction(1, q ** c) for c in range(n0 + n1)]  # q**-c
+    split0, split1 = ((2 ** (c - 1) - 1) * pw[c - 1] for c in (n0, n1))
+    p_n = bar ** 2 + bar * lam * (pw[n1 - 1] + pw[n0 - 1]) + lam ** 2 * pw[n0 + n1 - 2]
+    extra = ((bar * lam + lam ** 2 * pw[n0 - 1]) * split1
+             + (lam * bar + lam ** 2 * pw[n1 - 1]) * split0 + lam ** 2 * split0 * split1)
+    return (1 - Fraction(1, q)) * (p_n + 2 * extra)
+
+
+def test_p2_matches_exact_arithmetic():
+    for q in (2, 3, 4, 7):
+        for n in (2, 3, 5, 10, 40, 120):
+            for lam in (0.0, 0.2, 0.5, 1.0):
+                for nu in (0.1, 0.3, 0.5, 0.8):
+                    n1 = math.ceil(nu * n)
+                    if not 0 < n1 < n:
+                        continue
+                    assert p2_closed(q, n, lam, nu) == pytest.approx(
+                        float(p2_exact(q, n - n1, n1, lam)), rel=0, abs=1e-12)
 
 
 def test_gap_decay_values():
@@ -242,16 +283,16 @@ def test_monte_carlo_sets_the_model_up_once_and_builds_no_truths(monkeypatch, ev
 
 # The per-trial Monte Carlo loops the batched events replaced, kept as the
 # oracle: one generated corpus per trial, tested one row set at a time.
-def conserved_hits_oracle(event, params, trials, rng):
+def conserved_hits_oracle(side, params, trials, rng):
     from unshuffle.two_block import estimate_conserved_rows
     length = params.blocks.total
     hits = 0
     for _ in range(trials):
         corpus, truth = generate(params, rng)
-        rows0, rows1 = (side.nonzero()[0].tolist()
-                        for side in estimate_conserved_rows(corpus, truth.swapped))
+        rows0, rows1 = (mask.nonzero()[0].tolist()
+                        for mask in estimate_conserved_rows(corpus, truth.swapped))
         noise_free = sorted(set(range(length)) - set(truth.noise_loci.tolist()))
-        if event == "l0_exact":
+        if side == 0:
             hits += rows0 == noise_free
         else:
             first_len = params.blocks.lengths[0]
@@ -281,21 +322,21 @@ def chunk_trials(params, extra, chunks=1):
 
 
 @settings(max_examples=40, deadline=None)
-@given(event=st.sampled_from(["l0_exact", "l1_exact"]),
+@given(side=st.sampled_from([0, 1]),
        q=st.integers(2, 5), lengths=st.tuples(st.integers(2, 8), st.integers(2, 8)),
        n=st.integers(8, 20), lam=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
        nu=st.sampled_from([0.1, 0.3, 0.5, 0.8]), restricted=st.booleans(),
        extra=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_batched_conserved_rows_match_per_trial_loop(event, q, lengths, n, lam, nu,
+def test_batched_conserved_rows_match_per_trial_loop(side, q, lengths, n, lam, nu,
                                                      restricted, extra, seed):
     params = ModelParams(q=q, blocks=BlockStructure(lengths), num_messages=n,
                          noise_fraction=lam, shuffle=nu, restricted_prefix=restricted)
     assume(0 < params.shuffled_count < n)
     assume(params.noise_count <= sum(lengths) - 2 * restricted)
     trials = chunk_trials(params, extra)
-    report = _mc_conserved_rows(event, params, trials, make_rng(seed))
-    assert round(report.mc_estimate * trials) == \
-        conserved_hits_oracle(event, params, trials, make_rng(seed))
+    closed, hits = _conserved_hits(params, trials, make_rng(seed), side)
+    assert closed == l_sets_exact_prob(q, n, sum(lengths), lam, nu)[side]
+    assert hits == conserved_hits_oracle(side, params, trials, make_rng(seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,9 +357,9 @@ def test_batched_prefix_partition_matches_per_trial_loop(data, q, m, lam, prefix
                          distinguished_prefix=prefix == "distinguished")
     assume(params.noise_count <= sum(lengths) - (m if prefix else 0))
     trials = chunk_trials(params, extra)
-    report = _mc_prefix_partition("prefix_partition", params, trials, make_rng(seed))
-    assert round(report.mc_estimate * trials) == \
-        prefix_hits_oracle(params, trials, make_rng(seed))
+    closed, hits = _prefix_hits(params, trials, make_rng(seed), None)
+    assert closed == prefix_partition_closed(params)
+    assert hits == prefix_hits_oracle(params, trials, make_rng(seed))
 
 
 def prefix_enumeration(params):

@@ -1,15 +1,16 @@
 """Two-block unshuffling pipeline, from hand-built corpora to the generator."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import column_sigmas, row_partition
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unshuffle.corpus_io import CorpusSpec, load_corpus, write_corpus
-from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate
+from unshuffle.model import GroundTruth, ModelParams, ShuffledCorpus, generate, make_rng
 from unshuffle.perms import BlockStructure, identity
 from unshuffle.scoring import two_block_recovery
 from unshuffle.two_block import (
@@ -397,3 +398,76 @@ def test_realignment_matches_per_column_permutations(values):
     by_rows, by_records = result.aligned.values.T, by_records.aligned.values.T
     assert by_rows.flags.c_contiguous and by_records.flags.c_contiguous
     assert by_records.tobytes() == by_rows.tobytes()
+
+
+# Metamorphic relations: the two-block solver is blind to the symbols' names,
+# to the order of the records after record 0 and to where the records start,
+# so a kernel rewrite that starts to depend on any of them breaks one of
+# these on some generated corpus.
+two_block_corpora = st.builds(
+    lambda q, lengths, n, lam, nu, seed: generate(ModelParams(
+        q=q, blocks=BlockStructure(lengths), num_messages=n, noise_fraction=lam,
+        shuffle=nu, seed=seed))[0],
+    st.sampled_from([3, 4, 16]), st.tuples(st.integers(2, 30), st.integers(2, 30)),
+    st.integers(10, 120), st.sampled_from([0.0, 0.2, 0.5]),
+    st.sampled_from([0.1, 0.3, 0.5, 0.8]), st.integers(0, 2 ** 32 - 1))
+
+
+def solve_or_none(values, q):
+    try:
+        return unshuffle2(ShuffledCorpus(values=values, q=q))
+    except NotIdentifiableError:
+        return None
+
+
+@settings(deadline=None, max_examples=120)
+@given(two_block_corpora, st.integers(0, 2 ** 32 - 1))
+def test_relabeling_the_symbols_changes_no_bipartition(corpus, seed):
+    names = make_rng(seed).permutation(corpus.q).astype(corpus.values.dtype)
+    base = solve_or_none(corpus.values, corpus.q)
+    renamed = solve_or_none(names[corpus.values], corpus.q)
+    assert (renamed is None) == (base is None)
+    if base is not None:
+        assert np.array_equal(renamed.swapped, base.swapped)
+        assert (renamed.first_block_len, renamed.score) == (base.first_block_len, base.score)
+        assert np.array_equal(renamed.conserved, base.conserved)
+        assert np.array_equal(renamed.aligned.values, names[base.aligned.values])
+
+
+@settings(deadline=None, max_examples=120)
+@given(two_block_corpora, st.integers(0, 2 ** 32 - 1))
+def test_reordering_the_records_permutes_the_bipartition(corpus, seed):
+    # Record 0 fixes the gauge (it is never swapped), so it stays first.
+    order = np.append(0, 1 + make_rng(seed).permutation(corpus.n_cols - 1))
+    base = solve_or_none(corpus.values, corpus.q)
+    moved = solve_or_none(corpus.values[:, order], corpus.q)
+    assert (moved is None) == (base is None)
+    if base is not None:
+        assert np.array_equal(moved.swapped, base.swapped[order])
+        assert (moved.first_block_len, moved.score) == (base.first_block_len, base.score)
+        assert np.array_equal(moved.conserved, base.conserved)
+        assert np.array_equal(moved.aligned.values, base.aligned.values[:, order])
+
+
+def top_bipartition_tied(values):
+    """Whether two row bipartitions share the vote's top count, so that the
+    earliest row decides between them."""
+    counts = Counter(tuple(row != row[0]) for row in values if len(set(row.tolist())) == 2)
+    top = sorted(counts.values(), reverse=True)
+    return len(top) > 1 and top[0] == top[1]
+
+
+@settings(deadline=None, max_examples=120)
+@given(two_block_corpora, st.integers(0, 2 ** 16))
+def test_rotating_the_records_rotates_the_conserved_rows(corpus, r):
+    # A rotation reorders the rows, which can break a tied vote another way.
+    assume(not top_bipartition_tied(corpus.values))
+    r %= corpus.n_rows
+    base = solve_or_none(corpus.values, corpus.q)
+    rotated = solve_or_none(np.roll(corpus.values, r, axis=0), corpus.q)
+    assert (rotated is None) == (base is None)
+    if base is not None:
+        assert np.array_equal(rotated.swapped, base.swapped)
+        assert (rotated.first_block_len, rotated.score) == (base.first_block_len, base.score)
+        assert np.array_equal(rotated.conserved, np.roll(base.conserved, r, axis=1))
+        assert np.array_equal(rotated.aligned.values, np.roll(base.aligned.values, r, axis=0))
